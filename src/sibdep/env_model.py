@@ -17,9 +17,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -92,12 +92,6 @@ class SiblingLaw:
 
     def weight_sum(self) -> float:
         return float(sum(w for _, w in self.atoms))
-
-    def entries_in_range(self) -> bool:
-        return all(0 <= v <= self.order for t, _ in self.atoms for v in t)
-
-    def weights_usable(self) -> bool:
-        return all(math.isfinite(w) and w >= 0.0 for _, w in self.atoms)
 
     def normalized(self) -> "SiblingLaw":
         total = self.weight_sum()
@@ -271,7 +265,6 @@ class Environment:
         weights = []
         counts = []
         child_counts = []
-        totals = []
         for i, law in enumerate(laws, start=1):
             w = law.weight_array()
             c = law.count_matrix()
@@ -282,13 +275,11 @@ class Environment:
             weights.append(_frozen(w))
             counts.append(_frozen(c))
             child_counts.append(_frozen(c[:, 1:]))
-            totals.append(_frozen(c @ np.arange(n + 1)))
         object.__setattr__(self, "_marginals", _frozen(marg))
         object.__setattr__(self, "_pairs", _frozen(pair))
         object.__setattr__(self, "_atom_weights", tuple(weights))
         object.__setattr__(self, "_atom_counts", tuple(counts))
         object.__setattr__(self, "_atom_child_counts", tuple(child_counts))
-        object.__setattr__(self, "_atom_totals", tuple(totals))
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -468,16 +459,8 @@ class EnvironmentEnsemble:
     def sample_index(self, rng: np.random.Generator) -> int:
         return int(self._cdf.searchsorted(rng.random(), side="right"))
 
-    def sample(self, rng: np.random.Generator) -> Environment:
-        return self.members[self.sample_index(rng)]
-
     def sample_index_array(self, shape, rng: np.random.Generator) -> np.ndarray:
         return self._cdf.searchsorted(rng.random(shape), side="right")
-
-
-def sample_environment(ens: EnvironmentEnsemble, rng: np.random.Generator) -> Environment:
-    """Draw one generation's environment from the mixture."""
-    return ens.sample(rng)
 
 
 def single_environment_ensemble(env: Environment, label: str = "") -> EnvironmentEnsemble:

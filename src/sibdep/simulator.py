@@ -30,6 +30,7 @@ from .errors import InsufficientSurvivorsError, PopulationCapError
 from .rng import DEFAULT_CHUNK_SIZE, run_chunked
 
 POPULATION_CAP = 1_000_000_000
+INT64_MAX = 2 ** 63 - 1
 MIN_SURVIVORS = 100
 
 
@@ -60,34 +61,28 @@ class MacroState:
 
 
 def _member_tables(ens: EnvironmentEnsemble):
-    """Per member and type: atom weights, child-group counts, children totals.
+    """Per member and type: atom weights and child-group counts.
 
     Views of the tables each Environment caches at construction.
     """
-    return [list(zip(env._atom_weights, env._atom_child_counts, env._atom_totals))
-            for env in ens.members]
+    return [list(zip(env._atom_weights, env._atom_child_counts)) for env in ens.members]
 
 
 def _advance_batch(counts, member_idx, tables, gen, generation, cap=POPULATION_CAP):
-    """One generation for a batch of replicas; returns (new counts, children born)."""
+    """One generation for a batch of replicas; returns the new counts."""
     new = np.zeros_like(counts)
-    born = np.zeros(counts.shape[0], dtype=np.int64)
     for m, per_type in enumerate(tables):
         mask = member_idx == m
         if not mask.any():
             continue
         sub = counts[mask]
         add = np.zeros_like(sub)
-        add_born = np.zeros(sub.shape[0], dtype=np.int64)
-        for k, (weights, child_counts, totals) in enumerate(per_type):
+        for k, (weights, child_counts) in enumerate(per_type):
             nk = sub[:, k]
             if not nk.any():
                 continue
-            draws = gen.multinomial(nk, weights)
-            add += draws @ child_counts
-            add_born += draws @ totals
+            add += gen.multinomial(nk, weights) @ child_counts
         new[mask] = add
-        born[mask] = add_born
     sizes = new @ np.arange(1, new.shape[1] + 1, dtype=np.int64)
     if np.any(sizes > cap):
         worst = int(sizes.max())
@@ -95,7 +90,7 @@ def _advance_batch(counts, member_idx, tables, gen, generation, cap=POPULATION_C
             f"population {worst} exceeds the cap {cap} at generation {generation}",
             generation=generation, cap=cap,
         )
-    return new, born
+    return new
 
 
 def _initial_counts(order: int, initial_type: int, replicas: int) -> np.ndarray:
@@ -103,6 +98,32 @@ def _initial_counts(order: int, initial_type: int, replicas: int) -> np.ndarray:
         raise ValueError(f"initial type {initial_type} outside 1..{order}")
     counts = np.zeros((replicas, order), dtype=np.int64)
     counts[:, initial_type - 1] = 1
+    return counts
+
+
+def _forward(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
+             gen: np.random.Generator, size: int, cap: int = POPULATION_CAP,
+             step=None) -> np.ndarray:
+    """The particle engine: `size` replicas, each started by one group.
+
+    `step(t, counts)`, when given, sees generation t and returns the counts
+    to carry on with.  Returns at the horizon, or as soon as no replica is
+    left, so no draw is made past extinction.
+    """
+    # a member has at most `order` children, so the generation after one
+    # under the cap has at most order * cap individuals, which must fit int64
+    if ens.order * cap > INT64_MAX:
+        raise ValueError(f"cap {cap} can overflow 64-bit counts at order {ens.order}; "
+                         f"the largest cap allowed is {INT64_MAX // ens.order}")
+    tables = _member_tables(ens)
+    counts = _initial_counts(ens.order, initial_type, size)
+    for t in range(1, horizon + 1):
+        idx = ens.sample_index_array(size, gen)
+        counts = _advance_batch(counts, idx, tables, gen, t, cap)
+        if step is not None:
+            counts = step(t, counts)
+        if not counts.any():
+            break
     return counts
 
 
@@ -115,20 +136,18 @@ def simulate_micro(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
     together as a new group of their own size; childless members leave
     nothing.  Raises a cap error carrying the partial trajectory.
     """
-    tables = _member_tables(ens)
-    counts = _initial_counts(ens.order, initial_type, 1)
-    states = [MacroState(counts[0], 0)]
-    for t in range(1, horizon + 1):
-        member = ens.sample_index(rng)
-        try:
-            counts, _ = _advance_batch(counts, np.array([member]), tables, rng, t, cap)
-        except PopulationCapError as exc:
-            raise PopulationCapError(str(exc), generation=exc.generation,
-                                     cap=exc.cap, trajectory=states) from None
+    states = [MacroState(_initial_counts(ens.order, initial_type, 1)[0], 0)]
+
+    def record(t, counts):
         states.append(MacroState(counts[0], t))
-        if not counts.any():
-            states.extend(MacroState(counts[0], s) for s in range(t + 1, horizon + 1))
-            break
+        return counts
+
+    try:
+        counts = _forward(ens, initial_type, horizon, rng, 1, cap, record)
+    except PopulationCapError as exc:
+        exc.trajectory = states
+        raise
+    states.extend(MacroState(counts[0], s) for s in range(len(states), horizon + 1))
     return states
 
 
@@ -159,7 +178,7 @@ def simulate_macro_coupled(ens: EnvironmentEnsemble, initial_type: int, horizon:
             nk = int(macro_counts[k])
             if nk == 0:
                 continue
-            weights, child_counts, _ = macro_tables[member][k]
+            weights, child_counts = macro_tables[member][k]
             draws = rng.multinomial(nk, weights)
             new_macro += draws @ child_counts
             new_micro += draws @ micro_tables[member][k]
@@ -263,14 +282,8 @@ def estimate_survival(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
             return _quenched_survival_rows(ens, idx, initial_type)
         tag = "quenched-exact"
     else:
-        tables = _member_tables(ens)
-
         def task(gen, size):
-            counts = _initial_counts(ens.order, initial_type, size)
-            for t in range(1, horizon + 1):
-                idx = ens.sample_index_array(size, gen)
-                counts, _ = _advance_batch(counts, idx, tables, gen, t)
-            return (counts.sum(axis=1) > 0).astype(float)
+            return _forward(ens, initial_type, horizon, gen, size).any(axis=1).astype(float)
         tag = "particle-mc"
 
     values = np.concatenate(run_chunked(task, replicas, seed,
@@ -366,35 +379,19 @@ def total_variation_distance(a: ConditionalSizeDistribution,
     return 0.5 * float(np.abs(pa - pb).sum())
 
 
-def _direct_sizes(ens, initial_type, horizon, replicas, seed, chunk_size, workers):
-    tables = _member_tables(ens)
+def _survivor_sizes(ens, initial_type, horizon, replicas, seed, resample,
+                    chunk_size, workers):
+    """Individual counts at the horizon of the replicas alive there.
 
-    def task(gen, size):
-        counts = _initial_counts(ens.order, initial_type, size)
-        for t in range(1, horizon + 1):
-            idx = ens.sample_index_array(size, gen)
-            counts, _ = _advance_batch(counts, idx, tables, gen, t)
-        return counts @ np.arange(1, ens.order + 1, dtype=np.int64)
-
-    sizes = np.concatenate(run_chunked(task, replicas, seed,
-                                       chunk_size=chunk_size, workers=workers))
-    return sizes[sizes > 0]
-
-
-def _resampled_sizes(ens, initial_type, horizon, replicas, seed, chunk_size, workers):
-    """Survival-conditioned walker system, resampling dead walkers each step.
-
-    All resampling stays inside a chunk, so the merged output is independent
-    of the worker count.  The resulting sample is exchangeable but not
-    independent; the conditional-law bias shrinks like 1/chunk walkers.
+    With resample, each generation replaces dead walkers by copies of live
+    ones from the same chunk, so the output ignores the worker count.  That
+    sample is exchangeable but not independent; the conditional-law bias
+    shrinks like 1/chunk walkers.
     """
-    tables = _member_tables(ens)
+    type_sizes = np.arange(1, ens.order + 1, dtype=np.int64)
 
     def task(gen, size):
-        counts = _initial_counts(ens.order, initial_type, size)
-        for t in range(1, horizon + 1):
-            idx = ens.sample_index_array(size, gen)
-            counts, _ = _advance_batch(counts, idx, tables, gen, t)
+        def refill(t, counts):
             dead = ~counts.any(axis=1)
             n_dead = int(dead.sum())
             if n_dead == size:
@@ -406,10 +403,15 @@ def _resampled_sizes(ens, initial_type, horizon, replicas, seed, chunk_size, wor
             if n_dead:
                 alive = np.flatnonzero(~dead)
                 counts[dead] = counts[gen.choice(alive, size=n_dead)]
-        return counts @ np.arange(1, ens.order + 1, dtype=np.int64)
+            return counts
 
-    return np.concatenate(run_chunked(task, replicas, seed,
-                                      chunk_size=chunk_size, workers=workers))
+        counts = _forward(ens, initial_type, horizon, gen, size,
+                          step=refill if resample else None)
+        return counts @ type_sizes
+
+    sizes = np.concatenate(run_chunked(task, replicas, seed,
+                                       chunk_size=chunk_size, workers=workers))
+    return sizes[sizes > 0]
 
 
 def conditional_size_distribution(ens: EnvironmentEnsemble, initial_type: int,
@@ -439,18 +441,14 @@ def conditional_size_distribution(ens: EnvironmentEnsemble, initial_type: int,
         expected = probe.value * replicas
         method = "direct" if expected >= 10 * MIN_SURVIVORS else "resample"
 
-    if method == "direct":
-        sizes = _direct_sizes(ens, initial_type, horizon, replicas, seed,
-                              chunk_size, workers)
-        if sizes.shape[0] < MIN_SURVIVORS:
-            raise InsufficientSurvivorsError(
-                f"{sizes.shape[0]} survivors out of {replicas} replicas; "
-                f"at least {MIN_SURVIVORS} needed (switch to resample)",
-                survivors=int(sizes.shape[0]), required=MIN_SURVIVORS,
-            )
-    else:
-        sizes = _resampled_sizes(ens, initial_type, horizon, replicas, seed,
-                                 chunk_size, workers)
+    sizes = _survivor_sizes(ens, initial_type, horizon, replicas, seed,
+                            method == "resample", chunk_size, workers)
+    if method == "direct" and sizes.shape[0] < MIN_SURVIVORS:
+        raise InsufficientSurvivorsError(
+            f"{sizes.shape[0]} survivors out of {replicas} replicas; "
+            f"at least {MIN_SURVIVORS} needed (switch to resample)",
+            survivors=int(sizes.shape[0]), required=MIN_SURVIVORS,
+        )
 
     support, freq = np.unique(sizes, return_counts=True)
     probs = freq / freq.sum()
@@ -473,7 +471,6 @@ class PathRecord:
 
     times: np.ndarray     # 0, 1/n, ..., 1
     values: np.ndarray    # horizon^(-1/alpha) * scale * log individual count
-    survived: bool = True
 
     @property
     def endpoint(self) -> float:
@@ -482,28 +479,37 @@ class PathRecord:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Surviving-path collection with its endpoint sample and mean path.
+    """Surviving paths as one (survivors, horizon + 1) array of values.
 
-    Iterates as a sequence of path records.
+    Iterates as a sequence of path records, built on demand.
     """
 
-    records: tuple[PathRecord, ...]
+    values: np.ndarray
     times: np.ndarray
-    endpoints: np.ndarray
-    mean_path: np.ndarray
     horizon: int
     alpha: float
     replicas: int
-    survivors: int
+
+    @property
+    def survivors(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def endpoints(self) -> np.ndarray:
+        return self.values[:, -1]
+
+    @property
+    def mean_path(self) -> np.ndarray:
+        return self.values.mean(axis=0)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.survivors
 
     def __iter__(self):
-        return iter(self.records)
+        return (PathRecord(times=self.times, values=row) for row in self.values)
 
     def __getitem__(self, item) -> PathRecord:
-        return self.records[item]
+        return PathRecord(times=self.times, values=self.values[item])
 
     def summary_dict(self) -> dict:
         return {"horizon": self.horizon, "alpha": self.alpha,
@@ -525,8 +531,8 @@ def log_population_path(ens: EnvironmentEnsemble, initial_type: int, horizon: in
     which case it was positive at every earlier time too, so the whole
     recorded path is well defined.  The scale sequence defaults to the
     constant 1.  Long critical runs can push rare surviving paths past the
-    default cap; raising the cap (counts are exact 64-bit integers well
-    beyond it) lets those tails complete instead of failing the run.
+    default cap; raising the cap (counts are exact 64-bit integers up to
+    INT64_MAX // order) lets those tails complete instead of failing the run.
     """
     if replicas < 2:
         raise ValueError("replicas >= 2 required")
@@ -534,38 +540,30 @@ def log_population_path(ens: EnvironmentEnsemble, initial_type: int, horizon: in
         raise ValueError("horizon must be at least 1")
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    tables = _member_tables(ens)
     scale = horizon ** (-1.0 / alpha)
     if scale_sequence is not None:
         scale *= float(scale_sequence(horizon))
+    type_sizes = np.arange(1, ens.order + 1, dtype=np.int64)
 
     def task(gen, size):
-        counts = _initial_counts(ens.order, initial_type, size)
-        weights_k = np.arange(1, ens.order + 1, dtype=np.int64)
         logs = np.zeros((size, horizon + 1))
         logs[:, 0] = math.log(initial_type)
-        for t in range(1, horizon + 1):
-            idx = ens.sample_index_array(size, gen)
-            counts, _ = _advance_batch(counts, idx, tables, gen, t, cap)
-            sizes = counts @ weights_k
+
+        def record(t, counts):
+            sizes = counts @ type_sizes
             live = sizes > 0
             logs[live, t] = np.log(sizes[live])
-            logs[~live, t] = np.nan
-        alive = counts.any(axis=1)
-        return logs[alive] * scale
+            return counts
 
-    parts = run_chunked(task, replicas, seed, chunk_size=chunk_size, workers=workers)
-    kept = np.concatenate(parts) if parts else np.empty((0, horizon + 1))
-    survivors = kept.shape[0]
-    if survivors == 0:
+        counts = _forward(ens, initial_type, horizon, gen, size, cap, record)
+        return logs[counts.any(axis=1)] * scale
+
+    values = np.concatenate(run_chunked(task, replicas, seed,
+                                        chunk_size=chunk_size, workers=workers))
+    if values.shape[0] == 0:
         raise InsufficientSurvivorsError(
             f"no replica of {replicas} survived to generation {horizon}",
             survivors=0, required=1,
         )
-    times = np.arange(horizon + 1) / horizon
-    records = tuple(PathRecord(times=times, values=row) for row in kept)
-    return PathEnsemble(
-        records=records, times=times, endpoints=kept[:, -1].copy(),
-        mean_path=kept.mean(axis=0), horizon=horizon, alpha=alpha,
-        replicas=replicas, survivors=survivors,
-    )
+    return PathEnsemble(values=values, times=np.arange(horizon + 1) / horizon,
+                        horizon=horizon, alpha=alpha, replicas=replicas)

@@ -130,6 +130,15 @@ def test_survival_rejects_replica_floor(capsys):
     assert err["message"] == "replicas >= 2 required"
 
 
+def test_paths_rejects_cap_past_int64(capsys):
+    rc, out = run_cli(capsys, "paths", "--config", "preset:supercritical",
+                      "--cap", "9223372036854775807")
+    err = json.loads(out)["error"]
+    assert rc == 1
+    assert err["type"] == "ValueError"
+    assert err["message"].endswith("the largest cap allowed is 4611686018427387903")
+
+
 def test_scan_csv_is_parseable_and_consistent(capsys, tmp_path):
     rc, _ = run_cli(capsys, "scan", "--config", "preset:subcritical",
                     "--horizons", "2,4,8", "--replicas", "256",

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sibdep.env_model import Environment, EnvironmentEnsemble, SiblingLaw
 from sibdep.errors import InsufficientSurvivorsError, PopulationCapError
@@ -21,7 +22,7 @@ from sibdep.simulator import (
     total_variation_distance,
 )
 
-from conftest import make_lean, make_rich
+from conftest import make_lean, make_line, make_rich
 from oracles import annealed_survival, conditional_size_law, enumerate_survival
 
 
@@ -85,6 +86,30 @@ def test_micro_survival_frequency_matches_exact_value(rich, rich_only):
                 for _ in range(replicas))
     band = 3.0 * math.sqrt(exact * (1.0 - exact) / replicas)
     assert abs(alive / replicas - exact) <= band
+
+
+@pytest.mark.parametrize("members", [(dead_end_env(),),
+                                     (make_line(), dead_end_env())])
+def test_micro_draws_nothing_past_extinction(members):
+    """Each generation up to extinction draws one environment and one
+    multinomial per group type; none after, so back-to-back trajectories
+    from one generator are those of a fresh generator with the same seed."""
+    ens = EnvironmentEnsemble(members, np.full(len(members), 1.0 / len(members)))
+    gen = RngStream(3, 0).generator()
+    first = simulate_micro(ens, 1, 30, gen)
+    second = simulate_micro(ens, 1, 30, gen)
+    fresh = RngStream(3, 0).generator()
+    for trajectory in (first, second):
+        again = simulate_micro(ens, 1, 30, fresh)
+        assert [s.counts.tolist() for s in again] == [s.counts.tolist() for s in trajectory]
+
+    replay = RngStream(3, 0).generator()
+    for trajectory in (first, second):
+        died = next(s.generation for s in trajectory if s.extinct)
+        for _ in range(died):
+            replay.random(1)
+            replay.multinomial(np.array([1]), [1.0])
+    assert replay.bit_generator.state == gen.bit_generator.state
 
 
 def test_coupled_bookkeeping_agrees_exactly(ab_equal):
@@ -256,7 +281,7 @@ def test_total_variation_hand_value():
 
 def test_path_ensemble_structure(ab_equal):
     pe = log_population_path(ab_equal, 2, 16, replicas=2048, seed=15)
-    assert len(pe) == pe.survivors == len(pe.records)
+    assert len(pe) == pe.survivors == pe.values.shape[0]
     assert 0 < pe.survivors < 2048
     np.testing.assert_allclose(pe.times, np.arange(17) / 16)
     scale = 16 ** -0.5
@@ -289,6 +314,42 @@ def test_path_scale_sequence_and_cap():
         log_population_path(ens, 2, 20, replicas=4, seed=0, cap=1000)
     with pytest.raises(InsufficientSurvivorsError):
         log_population_path(only(dead_end_env()), 1, 4, replicas=8, seed=0)
+
+
+def test_path_cap_past_int64_is_rejected():
+    ens = load_preset("supercritical")
+    largest = (2 ** 63 - 1) // ens.order
+    with pytest.raises(ValueError, match=f"largest cap allowed is {largest}$"):
+        log_population_path(ens, 1, 800, replicas=64, seed=0, cap=2 ** 63 - 1)
+    # at the largest cap allowed the counts stay exact up to the cap error
+    with pytest.raises(PopulationCapError):
+        log_population_path(ens, 1, 800, replicas=64, seed=0, cap=largest)
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except InsufficientSurvivorsError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=10, deadline=None)
+@given(chunk_size=st.integers(50, 900), workers=st.sampled_from([1, 2]))
+def test_particle_results_ignore_worker_count(ab_equal, chunk_size, workers):
+    def runs(w):
+        common = {"replicas": 900, "chunk_size": chunk_size, "workers": w}
+        return [
+            _outcome(lambda: estimate_survival(ab_equal, 1, 6, seed=1,
+                                               method="particle", **common)),
+            _outcome(lambda: conditional_size_distribution(
+                ab_equal, 1, 4, seed=2, method="direct", **common).to_dict()),
+            _outcome(lambda: conditional_size_distribution(
+                ab_equal, 1, 6, seed=3, method="resample", **common).to_dict()),
+            _outcome(lambda: log_population_path(ab_equal, 2, 8, seed=4,
+                                                 **common).values.tolist()),
+        ]
+
+    assert runs(workers) == runs(1)
 
 
 def test_doubling_horizon_keeps_endpoint_median_stable():
