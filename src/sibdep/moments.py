@@ -102,13 +102,34 @@ def _power_iterate(m: np.ndarray, start: np.ndarray, tol: float, max_iter: int):
     return ratio, x, max_iter, None  # None marks non-convergence
 
 
+# a root this close to the spectral circle counts as on it: plain iteration
+# would need tens of thousands of steps to settle there
+_CIRCLE_TOL = 1e-3
+
+
+def _periodic_shift(mat: np.ndarray) -> float:
+    """rho when a root other than rho lies on the spectral circle, else 0.
+
+    Such roots are rho * exp(2 pi i k / h) with h <= N, at least rho / 2 from
+    rho for N <= 12, while rounding scatters the copies of a non-simple rho
+    far less.  M + rho I keeps the Perron vector, moves rho to 2 rho and every
+    other peripheral root strictly inside that circle.
+    """
+    roots = np.linalg.eigvals(mat)
+    moduli = np.abs(roots)
+    rho = float(moduli.max())
+    peripheral = (moduli >= (1.0 - _CIRCLE_TOL) * rho) & (np.abs(roots - rho) > 0.5 * rho)
+    return rho if rho > 0.0 and peripheral.any() else 0.0
+
+
 def perron(m: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) -> PerronResult:
     """Dominant eigenvalue and 1-normalized eigenvector by power iteration.
 
-    Expects a nonnegative square matrix with a unique dominant eigenvalue;
-    reducible or degenerate inputs produce a warning and whatever dominant
-    value the iteration located.  The uniform start vector is the tie-break,
-    so the identity matrix reports u = (1/N, .., 1/N).
+    Expects a nonnegative square matrix; reducible or degenerate inputs
+    produce a warning and whatever dominant value the iteration located.  On
+    a periodic matrix the iteration runs on M + rho I (see _periodic_shift)
+    and subtracts rho again.  The uniform start vector is the tie-break, so
+    the identity matrix reports u = (1/N, .., 1/N).
     """
     mat = np.asarray(m, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -118,12 +139,14 @@ def perron(m: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) -> Perron
     if np.any(mat < 0.0):
         raise ValueError("matrix entries must be nonnegative")
     n = mat.shape[0]
+    shift = _periodic_shift(mat)
+    work = mat + shift * np.eye(n) if shift else mat
 
     value, vector, iters, collapsed = _power_iterate(
-        mat, np.full(n, 1.0 / n), tol, max_iter
+        work, np.full(n, 1.0 / n), tol, max_iter
     )
     if collapsed is None:
-        residual = float(np.max(np.abs(mat @ vector - value * vector)))
+        residual = float(np.max(np.abs(work @ vector - value * vector)))
         raise PowerIterationError(
             f"power iteration did not settle within {max_iter} iterations "
             f"(last residual {residual:.3e})",
@@ -137,7 +160,7 @@ def perron(m: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) -> Perron
     # second start probes for a non-simple dominant eigenvalue
     if n > 1 and not degenerate:
         probe = np.arange(1.0, n + 1.0)
-        v2, x2, _, c2 = _power_iterate(mat, probe, tol, max_iter)
+        v2, x2, _, c2 = _power_iterate(work, probe, tol, max_iter)
         mismatch = (
             c2 is None or c2
             or abs(v2 - value) > max(1e3 * tol, 1e-10 * max(1.0, value))
@@ -151,6 +174,7 @@ def perron(m: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) -> Perron
                 RuntimeWarning, stacklevel=2,
             )
 
+    value -= shift
     residual = float(np.max(np.abs(mat @ vector - value * vector)))
     return PerronResult(value=float(value), vector=vector, iterations=iters,
                         residual=residual, degenerate=degenerate)

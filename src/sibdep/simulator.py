@@ -101,6 +101,17 @@ def _initial_counts(order: int, initial_type: int, replicas: int) -> np.ndarray:
     return counts
 
 
+def _check_cap(order: int, cap: int) -> None:
+    """Reject a cap whose next generation could overflow 64-bit counts.
+
+    A member has at most `order` children, so the generation after one under
+    the cap has at most order * cap individuals, which must fit int64.
+    """
+    if order * cap > INT64_MAX:
+        raise ValueError(f"cap {cap} can overflow 64-bit counts at order {order}; "
+                         f"the largest cap allowed is {INT64_MAX // order}")
+
+
 def _forward(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
              gen: np.random.Generator, size: int, cap: int = POPULATION_CAP,
              step=None) -> np.ndarray:
@@ -110,11 +121,7 @@ def _forward(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
     to carry on with.  Returns at the horizon, or as soon as no replica is
     left, so no draw is made past extinction.
     """
-    # a member has at most `order` children, so the generation after one
-    # under the cap has at most order * cap individuals, which must fit int64
-    if ens.order * cap > INT64_MAX:
-        raise ValueError(f"cap {cap} can overflow 64-bit counts at order {ens.order}; "
-                         f"the largest cap allowed is {INT64_MAX // ens.order}")
+    _check_cap(ens.order, cap)
     tables = _member_tables(ens)
     counts = _initial_counts(ens.order, initial_type, size)
     for t in range(1, horizon + 1):
@@ -162,6 +169,7 @@ def simulate_macro_coupled(ens: EnvironmentEnsemble, initial_type: int, horizon:
     individual count of either equals the weighted group total of the other.
     """
     order = ens.order
+    _check_cap(order, cap)
     micro_tables = [env._sibship_counts for env in ens.members]
     macro_tables = _member_tables(ens)
     type_sizes = np.arange(1, order + 1)

@@ -86,6 +86,22 @@ def test_moments_payload_on_stdout(capsys):
     assert doc["mixture"]["perron_root"] == pytest.approx(1.078233, abs=1e-6)
 
 
+def test_moments_on_periodic_mean_matrix(capsys, tmp_path):
+    # one member whose mean matrix is [[0, 2], [1, 0]], with roots +-sqrt 2
+    doc = {"N": 2, "label": "periodic", "environments": [{
+        "weight": 1.0, "label": "swap", "laws": [
+            {"group_size": 1, "atoms": [{"tuple": [2], "weight": 1.0}]},
+            {"group_size": 2, "atoms": [{"tuple": [1, 1], "weight": 1.0}]}]}]}
+    cfg = tmp_path / "periodic.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    rc, out = run_cli(capsys, "moments", "--config", str(cfg))
+    payload = json.loads(out)
+    assert rc == 0
+    assert payload["mixture"]["mean"] == [[0.0, 2.0], [1.0, 0.0]]
+    assert payload["mixture"]["perron_root"] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert payload["members"][0]["perron_root"] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+
 def test_run_directory_artifacts_and_verification(capsys, tmp_path):
     args = ("survival", "--config", "preset:critical", "--horizon", "8",
             "--replicas", "256")

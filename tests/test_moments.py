@@ -1,4 +1,7 @@
 """Mean matrices, curvature, group-level reduction, and eigen machinery."""
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -111,6 +114,28 @@ def test_perron_identity_matrix_degenerate_tiebreak():
     assert res.value == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(res.vector, 1.0 / 3.0, atol=1e-12)
     assert res.degenerate
+
+
+def test_perron_periodic_matrix_settles():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = perron(np.array([[0.0, 2.0], [1.0, 0.0]]))
+    root = math.sqrt(2.0)
+    assert res.value == pytest.approx(root, abs=1e-12)
+    np.testing.assert_allclose(res.vector, np.array([root, 1.0]) / (1.0 + root),
+                               atol=1e-12)
+    assert res.degenerate is False
+    assert res.residual <= 1e-12
+
+
+def test_perron_three_cycle_gives_uniform_vector():
+    cycle = np.roll(np.eye(3), 1, axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = perron(cycle)
+    assert res.value == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(res.vector, 1.0 / 3.0, atol=1e-12)
+    assert res.degenerate is False
 
 
 def test_perron_input_validation():

@@ -326,6 +326,17 @@ def test_path_cap_past_int64_is_rejected():
         log_population_path(ens, 1, 800, replicas=64, seed=0, cap=largest)
 
 
+def test_coupled_cap_past_int64_is_rejected():
+    ens = load_preset("supercritical")
+    largest = (2 ** 63 - 1) // ens.order
+    with pytest.raises(ValueError, match=f"largest cap allowed is {largest}$"):
+        simulate_macro_coupled(ens, 1, 800, RngStream(0, 1).generator(),
+                               cap=2 ** 63 - 1)
+    with pytest.raises(PopulationCapError):
+        simulate_macro_coupled(ens, 1, 800, RngStream(0, 1).generator(),
+                               cap=largest)
+
+
 def _outcome(call):
     try:
         return "ok", call()

@@ -1,9 +1,11 @@
 """Random matrix products, growth estimators, condition checks, calibration."""
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sibdep import moments as mo
 from sibdep.env_model import EnvironmentEnsemble
@@ -15,6 +17,7 @@ from sibdep.spectral import (
     ProductAccumulator,
     calibrate_critical,
     calibrate_critical_pair,
+    _indexed_log_norms,
     check_conditions,
     estimate_lambda_theta,
     estimate_lyapunov,
@@ -47,6 +50,8 @@ def test_matrix_ensemble_rejects_bad_input():
         MatrixEnsemble(np.ones((2, 2, 2)), [1.0, -0.5])
     with pytest.raises(ValueError, match="finite"):
         MatrixEnsemble(np.full((1, 2, 2), np.inf), [1.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        MatrixEnsemble(np.array([[[1.0, -0.5], [0.0, 1.0]]]), [1.0])
 
 
 def test_from_environments_micro_and_macro(ab_equal):
@@ -74,6 +79,43 @@ def test_accumulator_raises_on_collapse():
     with pytest.raises(DegenerateProductError) as exc:
         acc.step(np.zeros((2, 2)))
     assert exc.value.steps == 1
+
+
+@st.composite
+def _indexed_products(draw):
+    """Nonnegative members with a positive diagonal, so no product collapses."""
+    order = draw(st.integers(1, 4))
+    size = draw(st.integers(1, 3))
+    length = draw(st.integers(1, 40))
+    rows = draw(st.integers(1, 5))
+    entries = st.floats(0.0, 10.0)
+    mats = np.array(draw(st.lists(entries, min_size=size * order * order,
+                                  max_size=size * order * order))).reshape(size, order, order)
+    diag = draw(st.lists(st.floats(0.01, 10.0), min_size=size * order,
+                         max_size=size * order))
+    mats[:, np.arange(order), np.arange(order)] = np.reshape(diag, (size, order))
+    idx = np.array(draw(st.lists(st.integers(0, size - 1), min_size=rows * length,
+                                 max_size=rows * length))).reshape(rows, length)
+    return mats, idx
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_indexed_products())
+def test_indexed_log_norms_match_reference_product(case):
+    mats, idx = case
+    got = _indexed_log_norms(mats, idx)
+    want = [product_lognorm(mats[row])[0] for row in idx]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_indexed_log_norms_report_collapse_step_quietly():
+    mats = np.stack([np.eye(2), np.zeros((2, 2))])
+    idx = np.array([[0, 0, 0, 0], [0, 0, 1, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateProductError) as exc:
+            _indexed_log_norms(mats, idx)
+    assert exc.value.steps == 3
 
 
 def test_product_lognorm_on_environments(rich, lean):
@@ -195,6 +237,14 @@ def test_condition_report_lookup_and_text(critical_pair):
     assert any("zero_growth" in ln and "holds" in ln for ln in lines)
 
 
+def test_zero_growth_holds_on_critical_preset_across_seeds():
+    ens = load_preset("critical")
+    for seed in range(50):
+        zg = check_conditions(ens, ConditionParams(seed=seed)).get("zero_growth")
+        assert zg.values["offset"] == math.log(2.0) / 512
+        assert zg.holds is True, (seed, zg.values)
+
+
 def test_growth_floor_widens_criticality_band(ab_sub):
     strict = check_conditions(ab_sub, ConditionParams(horizon=128, replicas=64))
     loose = check_conditions(
@@ -240,3 +290,5 @@ def test_calibration_on_boom_bust_preset():
 def test_calibration_matrix_validation():
     with pytest.raises(ValueError, match="square"):
         calibrate_critical_pair(np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        calibrate_critical_pair(np.array([[2.0, -1.0], [0.0, 2.0]]), 0.5 * np.eye(2))
