@@ -9,8 +9,9 @@ full JSON payload is printed instead and nothing is written.
 Persisted artifacts embed a config hash: the SHA-256 of the canonical JSON
 encoding of the command name, the ensemble document, and every numeric
 parameter including the seed.  Re-running a command with the same config and
-seed reproduces the result files byte for byte; ``verify_run_dir`` rechecks a
-directory against its manifest and flags stale files.
+seed reproduces the result files byte for byte.  The manifest records each
+result file's SHA-256 digest; ``verify_run_dir`` rechecks a directory against
+its manifest and flags stale or edited files.
 
 Exit codes: 0 success, 1 domain error (reported as machine-readable JSON on
 standard output), 2 usage or parse error.
@@ -105,27 +106,35 @@ def write_csv(path: Path, chash: str, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def file_digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def write_manifest(out: Path, command: str, chash: str, seed: int,
                    wall: float, results: list[str]) -> None:
+    names = sorted(results)
     write_json(out / "manifest.json", {
         "toolkit_version": __version__,
         "command": command,
         "config_hash": chash,
         "seed": seed,
         "wall_clock_seconds": wall,
-        "results": sorted(results),
+        "results": names,
+        "sha256": {name: file_digest(out / name) for name in names},
     })
 
 
 def verify_run_dir(out_dir) -> dict:
-    """Check every result file in a run directory against its manifest hash.
+    """Check every result file in a run directory against its manifest.
 
-    Returns a report dict; ``ok`` is False when any listed file is missing or
-    carries a different embedded config hash than the manifest records.
+    Returns a report dict; ``ok`` is False when any listed file is missing,
+    carries a different embedded config hash than the manifest records, or
+    no longer has the content digest the manifest records.
     """
     out = Path(out_dir)
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     chash = manifest["config_hash"]
+    digests = manifest.get("sha256", {})
     mismatches = []
     checked = []
     for name in manifest["results"]:
@@ -143,6 +152,10 @@ def verify_run_dir(out_dir) -> dict:
         if embedded != chash:
             mismatches.append({"file": name, "problem": "config hash mismatch",
                                "embedded": embedded})
+        recorded = digests.get(name)
+        if recorded != file_digest(path):
+            mismatches.append({"file": name, "problem": "digest mismatch",
+                               "recorded": recorded})
     return {"out_dir": str(out), "config_hash": chash,
             "checked": checked, "mismatches": mismatches,
             "ok": not mismatches}

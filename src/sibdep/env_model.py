@@ -214,6 +214,37 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _build_phi_tables(members: Sequence["Environment"]) -> tuple[np.ndarray, np.ndarray]:
+    """Gathered-product tables that evaluate every member's phi_i at once.
+
+    An atom's monomial depends only on its nonzero child counts, so atoms
+    are keyed by those, padded to length N with 0.  Row a of `gather` holds
+    one key: indices into [1, s_1, .., s_N], where index 0 is the constant 1,
+    so the product over a row is the monomial.  Entry (a, m*N + i-1) of
+    `table` is member m's orbit weight of that monomial in its size-i law.
+    """
+    n = members[0].order
+    keyed = [[[(tuple(v for v in t if v), w) for t, w in law.atoms] for law in env.laws]
+             for env in members]
+    keys = sorted({k for env in keyed for law in env for k, _ in law})
+    row = {k: a for a, k in enumerate(keys)}
+    gather = np.zeros((len(keys), n), dtype=np.intp)
+    for a, k in enumerate(keys):
+        gather[a, :len(k)] = k
+    table = np.zeros((len(keys), len(members) * n))
+    for m, env in enumerate(keyed):
+        for i, law in enumerate(env):
+            for k, w in law:
+                table[row[k], m * n + i] = w
+    return _frozen(gather), _frozen(table)
+
+
+def _gathered_phi(s_rows: np.ndarray, gather: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The one batched phi kernel: (rows, N) points to (rows, K*N) values."""
+    full = np.concatenate([np.ones((s_rows.shape[0], 1)), s_rows], axis=1)
+    return full[:, gather].prod(axis=2) @ table
+
+
 @dataclass(frozen=True)
 class Environment:
     """One complete reproduction regime: a sibling law for every group size 1..N.
@@ -378,20 +409,17 @@ class Environment:
         j = np.arange(1, self.order + 1)
         return float(row[0] + np.sum(row[1:] * arr ** j))
 
+    @cached_property
+    def _phi_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        return _build_phi_tables((self,))
+
     def phi_map(self, s_rows: np.ndarray) -> np.ndarray:
         """Apply every phi_i to a batch of points; rows are points, columns types.
 
-        Internal hot path for quenched iteration; assumes rows already lie in
-        the unit box.
+        Runs the gathered-product kernel on this environment's own table;
+        assumes rows already lie in the unit box.
         """
-        full = np.concatenate(
-            [np.ones((s_rows.shape[0], 1)), np.asarray(s_rows, dtype=float)], axis=1
-        )
-        out = np.empty_like(s_rows, dtype=float)
-        for i in range(1, self.order + 1):
-            powers = full[:, None, :] ** self._atom_counts[i - 1][None, :, :]
-            out[:, i - 1] = powers.prod(axis=2) @ self._atom_weights[i - 1]
-        return out
+        return _gathered_phi(np.asarray(s_rows, dtype=float), *self._phi_tables)
 
     def phi_vector(self, s: np.ndarray) -> np.ndarray:
         return self.phi_map(np.asarray(s, dtype=float)[None, :])[0]
@@ -461,6 +489,21 @@ class EnvironmentEnsemble:
 
     def sample_index_array(self, shape, rng: np.random.Generator) -> np.ndarray:
         return self._cdf.searchsorted(rng.random(shape), side="right")
+
+    @cached_property
+    def _phi_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        return _build_phi_tables(self.members)
+
+    def phi_step(self, s_rows: np.ndarray, member_idx: np.ndarray) -> np.ndarray:
+        """Row r becomes members[member_idx[r]].phi_map of row r.
+
+        One backward generation of the quenched composition: every member's
+        maps are evaluated on every row in one call, then each row keeps its
+        own member's.  Assumes rows already lie in the unit box.
+        """
+        rows = s_rows.shape[0]
+        every = _gathered_phi(s_rows, *self._phi_tables).reshape(rows, self.size, self.order)
+        return every[np.arange(rows), member_idx]
 
 
 def single_environment_ensemble(env: Environment, label: str = "") -> EnvironmentEnsemble:

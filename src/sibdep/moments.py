@@ -107,7 +107,7 @@ def _power_iterate(m: np.ndarray, start: np.ndarray, tol: float, max_iter: int):
 _CIRCLE_TOL = 1e-3
 
 
-def _periodic_shift(mat: np.ndarray) -> float:
+def _periodic_shift(roots: np.ndarray) -> float:
     """rho when a root other than rho lies on the spectral circle, else 0.
 
     Such roots are rho * exp(2 pi i k / h) with h <= N, at least rho / 2 from
@@ -115,11 +115,43 @@ def _periodic_shift(mat: np.ndarray) -> float:
     far less.  M + rho I keeps the Perron vector, moves rho to 2 rho and every
     other peripheral root strictly inside that circle.
     """
-    roots = np.linalg.eigvals(mat)
     moduli = np.abs(roots)
     rho = float(moduli.max())
     peripheral = (moduli >= (1.0 - _CIRCLE_TOL) * rho) & (np.abs(roots - rho) > 0.5 * rho)
     return rho if rho > 0.0 and peripheral.any() else 0.0
+
+
+def _defective_root(mat: np.ndarray, roots: np.ndarray):
+    """(rho, vector) when the dominant root is defective, else None.
+
+    The roots within _CIRCLE_TOL * rho of rho are its copies; rounding splits
+    a k-fold root by about eps^(1/k), and their mean keeps the trace, so it
+    is rho to rounding.  The root is defective (a Jordan block, on which
+    power iteration converges only like 1/k) when M - rho I has fewer null
+    directions than rho has copies; a direction counts as null when its
+    singular value is within the copies' own spread.  The vector is the
+    uniform start projected on that null space: a nonnegative matrix has a
+    nonnegative eigenvector for rho, and a projection that is not
+    nonnegative gives None, leaving the root to the power iteration.
+    """
+    rho_max = float(np.abs(roots).max())
+    if rho_max == 0.0:
+        return None
+    copies = roots[np.abs(roots - rho_max) <= _CIRCLE_TOL * rho_max]
+    if copies.shape[0] < 2:
+        return None
+    rho = float(copies.real.mean())
+    n = mat.shape[0]
+    _, sing, vh = np.linalg.svd(mat - rho * np.eye(n))
+    floor = 2.0 * float(np.abs(copies - rho).max()) + 1e-12 * max(1.0, rho)
+    null = vh[sing <= floor]
+    if null.shape[0] >= copies.shape[0]:
+        return None
+    v = null.T @ null.sum(axis=1)
+    if not v.sum() > 0.0 or v.min() < -1e-12 * v.max():
+        return None
+    v = np.clip(v, 0.0, None)
+    return rho, v / v.sum()
 
 
 def perron(m: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) -> PerronResult:
@@ -128,8 +160,10 @@ def perron(m: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) -> Perron
     Expects a nonnegative square matrix; reducible or degenerate inputs
     produce a warning and whatever dominant value the iteration located.  On
     a periodic matrix the iteration runs on M + rho I (see _periodic_shift)
-    and subtracts rho again.  The uniform start vector is the tie-break, so
-    the identity matrix reports u = (1/N, .., 1/N).
+    and subtracts rho again; a defective dominant root is read off the
+    eigenvalues instead (see _defective_root), with no iteration.  The
+    uniform start vector is the tie-break, so the identity matrix reports
+    u = (1/N, .., 1/N).
     """
     mat = np.asarray(m, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -139,7 +173,17 @@ def perron(m: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) -> Perron
     if np.any(mat < 0.0):
         raise ValueError("matrix entries must be nonnegative")
     n = mat.shape[0]
-    shift = _periodic_shift(mat)
+    roots = np.linalg.eigvals(mat)
+    defective = _defective_root(mat, roots)
+    if defective is not None:
+        value, vector = defective
+        warnings.warn("dominant eigenvalue is defective (a Jordan block); value "
+                      "from the eigenvalues, vector from the null space of "
+                      "M - rho I, with a degeneracy flag", RuntimeWarning, stacklevel=2)
+        residual = float(np.max(np.abs(mat @ vector - value * vector)))
+        return PerronResult(value=value, vector=vector, iterations=0,
+                            residual=residual, degenerate=True)
+    shift = _periodic_shift(roots)
     work = mat + shift * np.eye(n) if shift else mat
 
     value, vector, iters, collapsed = _power_iterate(

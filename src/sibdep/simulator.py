@@ -232,14 +232,9 @@ def quenched_survival(env_seq: Sequence[Environment], initial_type: int) -> floa
 def _quenched_survival_rows(ens: EnvironmentEnsemble, member_idx: np.ndarray,
                             initial_type: int) -> np.ndarray:
     """Vectorized backward composition over many index rows at once."""
-    rows, length = member_idx.shape
-    s = np.zeros((rows, ens.order))
-    for t in range(length - 1, -1, -1):
-        col = member_idx[:, t]
-        for m, env in enumerate(ens.members):
-            mask = col == m
-            if mask.any():
-                s[mask] = env.phi_map(s[mask])
+    s = np.zeros((member_idx.shape[0], ens.order))
+    for t in range(member_idx.shape[1] - 1, -1, -1):
+        s = ens.phi_step(s, member_idx[:, t])
     return 1.0 - s[:, initial_type - 1]
 
 

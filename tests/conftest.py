@@ -7,7 +7,7 @@ against each other.
 import numpy as np
 import pytest
 
-from sibdep.env_model import Environment, EnvironmentEnsemble, SiblingLaw
+from sibdep.env_model import Environment, EnvironmentEnsemble, SiblingLaw, random_environment
 
 
 def make_rich() -> Environment:
@@ -48,6 +48,12 @@ def product_pair_env(p, label="") -> Environment:
 def make_line() -> Environment:
     """One type, exactly one child each: the frozen deterministic line."""
     return Environment(1, (SiblingLaw(1, 1, (((1,), 1.0),)),), label="line")
+
+
+def random_ensemble(gen, order: int, size: int) -> EnvironmentEnsemble:
+    """`size` fully supported random environments, equally weighted."""
+    members = tuple(random_environment(gen, order) for _ in range(size))
+    return EnvironmentEnsemble(members, np.full(size, 1.0 / size))
 
 
 @pytest.fixture(scope="session")

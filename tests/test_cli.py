@@ -1,4 +1,5 @@
 """Command line surface: exit codes, artifacts, hashing, determinism."""
+import hashlib
 import importlib.metadata
 import json
 import math
@@ -135,6 +136,32 @@ def test_run_directory_artifacts_and_verification(capsys, tmp_path):
     missing = verify_run_dir(out_b)
     assert missing["ok"] is False
     assert {"file": "survival.json", "problem": "missing"} in missing["mismatches"]
+
+
+def test_manifest_digests_catch_edited_results(capsys, tmp_path):
+    run_cli(capsys, "survival", "--config", "preset:critical", "--horizon", "8",
+            "--replicas", "256", "--out", str(tmp_path))
+    manifest = read_json(tmp_path / "manifest.json")
+    assert manifest["results"] == ["survival.csv", "survival.json"]
+    assert manifest["sha256"] == {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in manifest["results"]}
+
+    # edits that keep the embedded config hash are caught by the digests alone
+    doc = read_json(tmp_path / "survival.json")
+    doc["value"] = 9.16
+    (tmp_path / "survival.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",
+                                            encoding="utf-8")
+    lines = (tmp_path / "survival.csv").read_text(encoding="utf-8").splitlines()
+    cells = lines[-1].split(",")
+    cells[2] = "0.9"
+    lines[-1] = ",".join(cells)
+    (tmp_path / "survival.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    report = verify_run_dir(tmp_path)
+    assert report["ok"] is False
+    assert [(m["file"], m["problem"]) for m in report["mismatches"]] == [
+        ("survival.csv", "digest mismatch"), ("survival.json", "digest mismatch")]
+    assert report["mismatches"][0]["recorded"] == manifest["sha256"]["survival.csv"]
 
 
 def test_survival_rejects_replica_floor(capsys):

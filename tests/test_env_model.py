@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sibdep.env_model import (
     Environment,
@@ -18,7 +20,7 @@ from sibdep.env_model import (
 )
 from sibdep.errors import EnsembleFormatError, InvalidLawError
 
-from conftest import make_rich, make_lean
+from conftest import make_rich, make_lean, random_ensemble
 
 
 # -- construction and structural checks ------------------------------------
@@ -162,6 +164,38 @@ def test_phi_map_batches_rows_independently():
     batched = env.phi_map(rows)
     for r, row in enumerate(rows):
         assert np.allclose(batched[r], env.phi_vector(row), atol=1e-15)
+
+
+@st.composite
+def _ensemble_points(draw):
+    """A random ensemble, points in the unit box with some rows on its
+    corners 0 and 1, and one member index per row."""
+    order = draw(st.integers(1, 4))
+    size = draw(st.integers(1, 3))
+    ens = random_ensemble(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))),
+                          order, size)
+    rows = draw(st.integers(1, 50))
+    s = draw(arrays(float, (rows, order), elements=st.floats(0.0, 1.0)))
+    corner = np.array(draw(st.lists(st.sampled_from(["inside", "zeros", "ones"]),
+                                    min_size=rows, max_size=rows)))
+    s[corner == "zeros"] = 0.0
+    s[corner == "ones"] = 1.0
+    idx = np.array(draw(st.lists(st.integers(0, size - 1), min_size=rows,
+                                 max_size=rows)))
+    return ens, s, idx
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_ensemble_points())
+def test_phi_step_and_phi_map_match_pointwise_phi(case):
+    ens, s, idx = case
+    step = ens.phi_step(s, idx)
+    maps = [env.phi_map(s) for env in ens.members]
+    for r, row in enumerate(s):
+        env = ens.members[idx[r]]
+        want = [env.phi(i, row) for i in range(1, ens.order + 1)]
+        np.testing.assert_allclose(step[r], want, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(maps[idx[r]][r], want, rtol=0.0, atol=1e-14)
 
 
 def test_phi_rejects_out_of_box_arguments():

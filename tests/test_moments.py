@@ -138,6 +138,27 @@ def test_perron_three_cycle_gives_uniform_vector():
     assert res.degenerate is False
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_perron_defective_root_needs_no_iteration(n):
+    # a Jordan block: power iteration would converge only like 1/k
+    with pytest.warns(RuntimeWarning, match="defective"):
+        res = perron(np.triu(np.ones((n, n))))
+    assert res.value == 1.0
+    np.testing.assert_array_equal(res.vector, np.eye(n)[0])
+    assert res.iterations == 0 and res.residual == 0.0
+    assert res.degenerate
+
+
+def test_perron_defective_root_beside_a_simple_one():
+    # rho = 2 is a 2x2 Jordan block; the third root 1 stays out of the way
+    m = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.warns(RuntimeWarning, match="defective"):
+        res = perron(m)
+    assert res.value == 2.0
+    np.testing.assert_array_equal(res.vector, [1.0, 0.0, 0.0])
+    assert res.degenerate
+
+
 def test_perron_input_validation():
     with pytest.raises(ValueError, match="square"):
         perron(np.ones((2, 3)))

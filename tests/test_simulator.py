@@ -12,6 +12,7 @@ from sibdep.rng import RngStream
 from sibdep.simulator import (
     ConditionalSizeDistribution,
     MacroState,
+    _quenched_survival_rows,
     conditional_size_distribution,
     estimate_survival,
     log_population_path,
@@ -22,7 +23,7 @@ from sibdep.simulator import (
     total_variation_distance,
 )
 
-from conftest import make_lean, make_line, make_rich
+from conftest import make_lean, make_line, make_rich, random_ensemble
 from oracles import annealed_survival, conditional_size_law, enumerate_survival
 
 
@@ -198,6 +199,49 @@ def test_scan_rows_are_nested_and_scaled(ab_sub):
     for r in rows:
         assert r.scaled == pytest.approx(math.sqrt(r.horizon) * r.estimate,
                                          rel=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(1, 3),
+       size=st.integers(1, 3), rows=st.integers(1, 40),
+       horizons=st.lists(st.integers(1, 30), min_size=2, max_size=6, unique=True))
+def test_quenched_rows_never_increase_with_the_horizon(seed, order, size, rows,
+                                                       horizons):
+    gen = np.random.default_rng(seed)
+    ens = random_ensemble(gen, order, size)
+    hs = sorted(horizons)
+    idx = ens.sample_index_array((rows, hs[-1]), gen)
+    itype = int(gen.integers(1, order + 1))
+    values = np.stack([_quenched_survival_rows(ens, idx[:, :h], itype) for h in hs],
+                      axis=1)
+    # exact: every step is monotone in its argument, rounding included
+    assert np.all(values[:, 1:] <= values[:, :-1])
+
+
+@settings(max_examples=10, deadline=None)
+@given(chunk_size=st.integers(50, 900))
+def test_quenched_results_ignore_worker_count(ab_equal, chunk_size):
+    def runs(workers):
+        common = {"replicas": 900, "chunk_size": chunk_size, "workers": workers}
+        return [estimate_survival(ab_equal, 1, 6, seed=1, **common).to_dict(),
+                [r.to_dict() for r in survival_scaling_scan(ab_equal, 2, [3, 6, 12],
+                                                            seed=2, **common)]]
+
+    assert runs(2) == runs(1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 3),
+       length=st.integers(1, 5), itype=st.sampled_from([1, 2]))
+def test_quenched_survival_matches_enumeration(seed, size, length, itype):
+    gen = np.random.default_rng(seed)
+    ens = random_ensemble(gen, 2, size)
+    idx = ens.sample_index_array((1, length), gen)
+    word = [ens.members[m] for m in idx[0]]
+    exact = enumerate_survival(word, itype)
+    assert quenched_survival(word, itype) == pytest.approx(exact, rel=0.0, abs=1e-12)
+    assert _quenched_survival_rows(ens, idx, itype)[0] == \
+        pytest.approx(exact, rel=0.0, abs=1e-12)
 
 
 def test_scan_on_frozen_line(line_only):
