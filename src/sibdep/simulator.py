@@ -3,7 +3,11 @@
 Two complementary engines live here.  The particle engine advances
 group-type count vectors generation by generation with multinomial draws,
 which keeps memory independent of population size; equal-type groups are
-exchangeable, so the aggregated law is the exact process law.  The quenched
+exchangeable, so the aggregated law is the exact process law.  It carries
+only the live replicas, as ascending row ids beside their counts, and hands
+each generation to a `step(t, rows, counts)` hook: extinct replicas make no
+draws and take no step time, and recorded paths grow with the live rows,
+not with replicas times horizon.  The quenched
 engine never simulates populations at all: for a fixed environment sequence
 it composes the offspring generating maps backward from the zero vector,
 giving extinction probabilities that are exact up to float rounding, and
@@ -114,24 +118,39 @@ def _check_cap(order: int, cap: int) -> None:
 
 def _forward(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
              gen: np.random.Generator, size: int, cap: int = POPULATION_CAP,
-             step=None) -> np.ndarray:
+             step=None) -> tuple[np.ndarray, np.ndarray]:
     """The particle engine: `size` replicas, each started by one group.
 
-    `step(t, counts)`, when given, sees generation t and returns the counts
-    to carry on with.  Returns at the horizon, or as soon as no replica is
-    left, so no draw is made past extinction.
+    Carries only the live replicas: `rows` holds their ascending ids and
+    `counts` their group counts, one row each.  Every generation still draws
+    one environment index per replica, dead or alive, so the streams do not
+    depend on who died; an extinct replica makes no multinomial draw and
+    takes no step time.  `step(t, rows, counts)`, when given, sees
+    generation t's new counts of the rows that were live before it, dead
+    ones included, and may change `counts` in place; rows still empty after
+    it are dropped.  Returns the final `(rows, counts)` at the horizon, or
+    as soon as no replica is left, so no draw is made past extinction.
     """
     _check_cap(ens.order, cap)
     tables = _member_tables(ens)
+    ones = np.ones(ens.order, dtype=np.int64)
+    rows = np.arange(size)
     counts = _initial_counts(ens.order, initial_type, size)
     for t in range(1, horizon + 1):
         idx = ens.sample_index_array(size, gen)
+        if rows.shape[0] < size:
+            idx = idx[rows]
         counts = _advance_batch(counts, idx, tables, gen, t, cap)
         if step is not None:
-            counts = step(t, counts)
-        if not counts.any():
-            break
-    return counts
+            step(t, rows, counts)
+        # counts are nonnegative, and a row sum by matmul is several times
+        # faster than any(axis=1) over a short axis
+        live = counts @ ones > 0
+        if not live.all():
+            rows, counts = rows[live], counts[live]
+            if not rows.shape[0]:
+                break
+    return rows, counts
 
 
 def simulate_micro(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
@@ -145,16 +164,16 @@ def simulate_micro(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
     """
     states = [MacroState(_initial_counts(ens.order, initial_type, 1)[0], 0)]
 
-    def record(t, counts):
+    def record(t, rows, counts):
         states.append(MacroState(counts[0], t))
-        return counts
 
     try:
-        counts = _forward(ens, initial_type, horizon, rng, 1, cap, record)
+        _forward(ens, initial_type, horizon, rng, 1, cap, record)
     except PopulationCapError as exc:
         exc.trajectory = states
         raise
-    states.extend(MacroState(counts[0], s) for s in range(len(states), horizon + 1))
+    last = states[-1].counts
+    states.extend(MacroState(last, s) for s in range(len(states), horizon + 1))
     return states
 
 
@@ -286,7 +305,9 @@ def estimate_survival(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
         tag = "quenched-exact"
     else:
         def task(gen, size):
-            return _forward(ens, initial_type, horizon, gen, size).any(axis=1).astype(float)
+            alive = np.zeros(size)
+            alive[_forward(ens, initial_type, horizon, gen, size)[0]] = 1.0
+            return alive
         tag = "particle-mc"
 
     values = np.concatenate(run_chunked(task, replicas, seed,
@@ -394,8 +415,10 @@ def _survivor_sizes(ens, initial_type, horizon, replicas, seed, resample,
     type_sizes = np.arange(1, ens.order + 1, dtype=np.int64)
 
     def task(gen, size):
-        def refill(t, counts):
-            dead = ~counts.any(axis=1)
+        # refilling keeps every walker live, so the rows it sees are all
+        # `size` of them and no dead walker is ever dropped
+        def refill(t, rows, counts):
+            dead = counts @ type_sizes == 0
             n_dead = int(dead.sum())
             if n_dead == size:
                 raise InsufficientSurvivorsError(
@@ -406,15 +429,13 @@ def _survivor_sizes(ens, initial_type, horizon, replicas, seed, resample,
             if n_dead:
                 alive = np.flatnonzero(~dead)
                 counts[dead] = counts[gen.choice(alive, size=n_dead)]
-            return counts
 
-        counts = _forward(ens, initial_type, horizon, gen, size,
-                          step=refill if resample else None)
+        _, counts = _forward(ens, initial_type, horizon, gen, size,
+                             step=refill if resample else None)
         return counts @ type_sizes
 
-    sizes = np.concatenate(run_chunked(task, replicas, seed,
-                                       chunk_size=chunk_size, workers=workers))
-    return sizes[sizes > 0]
+    return np.concatenate(run_chunked(task, replicas, seed,
+                                      chunk_size=chunk_size, workers=workers))
 
 
 def conditional_size_distribution(ens: EnvironmentEnsemble, initial_type: int,
@@ -435,6 +456,8 @@ def conditional_size_distribution(ens: EnvironmentEnsemble, initial_type: int,
     """
     if replicas < 2:
         raise ValueError("replicas >= 2 required")
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     if method not in ("auto", "direct", "resample"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
@@ -549,17 +572,21 @@ def log_population_path(ens: EnvironmentEnsemble, initial_type: int, horizon: in
     type_sizes = np.arange(1, ens.order + 1, dtype=np.int64)
 
     def task(gen, size):
-        logs = np.zeros((size, horizon + 1))
-        logs[:, 0] = math.log(initial_type)
+        # per generation, the ids and log sizes of the replicas live after it
+        history = []
 
-        def record(t, counts):
+        def record(t, rows, counts):
             sizes = counts @ type_sizes
             live = sizes > 0
-            logs[live, t] = np.log(sizes[live])
-            return counts
+            history.append((rows[live], np.log(sizes[live])))
 
-        counts = _forward(ens, initial_type, horizon, gen, size, cap, record)
-        return logs[counts.any(axis=1)] * scale
+        survivors, _ = _forward(ens, initial_type, horizon, gen, size, cap, record)
+        logs = np.empty((survivors.shape[0], horizon + 1))
+        logs[:, 0] = math.log(initial_type)
+        # a survivor was live at every generation, so each search hits
+        for t, (rows, values) in enumerate(history, start=1):
+            logs[:, t] = values[rows.searchsorted(survivors)]
+        return logs * scale
 
     values = np.concatenate(run_chunked(task, replicas, seed,
                                         chunk_size=chunk_size, workers=workers))

@@ -283,6 +283,28 @@ def test_random_environment_always_valid():
 
 # -- interchange format ----------------------------------------------------
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(1, 4),
+       size=st.integers(1, 4), rows=st.integers(1, 20))
+def test_json_round_trip_keeps_tables_weights_and_maps(seed, order, size, rows):
+    gen = np.random.default_rng(seed)
+    members = tuple(random_environment(gen, order, label=f"m{j}") for j in range(size))
+    ens = EnvironmentEnsemble(members, gen.dirichlet(np.ones(size)), label="random")
+    back = ensemble_from_dict(json.loads(json.dumps(ensemble_to_dict(ens))))
+
+    # loading normalizes weights again, which may move them by an ulp
+    assert back.order == ens.order and back.label == ens.label
+    np.testing.assert_allclose(back.weights, ens.weights, rtol=1e-15, atol=0.0)
+    s = gen.random((rows, order))
+    for env, env2 in zip(ens.members, back.members, strict=True):
+        assert env2.label == env.label
+        for law, law2 in zip(env.laws, env2.laws, strict=True):
+            assert [t for t, _ in law2.atoms] == [t for t, _ in law.atoms]
+            np.testing.assert_allclose([w for _, w in law2.atoms],
+                                       [w for _, w in law.atoms], rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(env2.phi_map(s), env.phi_map(s), rtol=0.0, atol=1e-15)
+
+
 def test_round_trip_preserves_structure(tmp_path):
     ens = EnvironmentEnsemble((make_rich(), make_lean()),
                               np.array([0.3, 0.7]), label="pair")

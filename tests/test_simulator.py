@@ -1,5 +1,6 @@
 """Trajectory simulation, survival estimators, conditional laws, paths."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sibdep.rng import RngStream
 from sibdep.simulator import (
     ConditionalSizeDistribution,
     MacroState,
+    _forward,
     _quenched_survival_rows,
     conditional_size_distribution,
     estimate_survival,
@@ -27,8 +29,10 @@ from conftest import make_lean, make_line, make_rich, random_ensemble
 from oracles import annealed_survival, conditional_size_law, enumerate_survival
 
 
-def dead_end_env() -> Environment:
-    return Environment(1, (SiblingLaw(1, 1, (((0,), 1.0),)),), label="dead")
+def dead_end_env(order: int = 1) -> Environment:
+    """Every group of every size has no children at all."""
+    return Environment(order, tuple(SiblingLaw(k, order, (((0,) * k, 1.0),))
+                                    for k in range(1, order + 1)), label="dead")
 
 
 def doubling_env() -> Environment:
@@ -111,6 +115,84 @@ def test_micro_draws_nothing_past_extinction(members):
             replay.random(1)
             replay.multinomial(np.array([1]), [1.0])
     assert replay.bit_generator.state == gen.bit_generator.state
+
+
+def reference_forward(ens, initial_type, horizon, gen, size, step=None):
+    """Every replica, dead or alive, advanced one row at a time in
+    member -> type -> row order, with a multinomial draw only for n > 0."""
+    counts = np.zeros((size, ens.order), dtype=np.int64)
+    counts[:, initial_type - 1] = 1
+    for t in range(1, horizon + 1):
+        idx = ens.sample_index_array(size, gen)
+        new = np.zeros_like(counts)
+        for m, env in enumerate(ens.members):
+            for k in range(ens.order):
+                weights, child_counts = env._atom_weights[k], env._atom_child_counts[k]
+                for r in range(size):
+                    if idx[r] == m and counts[r, k] > 0:
+                        new[r] += gen.multinomial(counts[r, k], weights) @ child_counts
+        counts = new
+        if step is not None:
+            step(t, np.arange(size), counts)
+        if not counts.any():
+            break
+    return counts
+
+
+def resample_hook(gen):
+    def refill(t, rows, counts):
+        dead = ~counts.any(axis=1)
+        if dead.all():
+            raise InsufficientSurvivorsError(f"every walker died at {t}",
+                                             survivors=0, required=1)
+        if dead.any():
+            counts[dead] = counts[gen.choice(np.flatnonzero(~dead), size=int(dead.sum()))]
+    return refill
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(1, 3),
+       members=st.integers(1, 3), size=st.integers(1, 40),
+       horizon=st.integers(1, 20), hook=st.booleans(), dies=st.booleans())
+def test_live_row_driver_matches_the_every_row_reference(seed, order, members, size,
+                                                         horizon, hook, dies):
+    gen = np.random.default_rng(seed)
+    ens = random_ensemble(gen, order, members)
+    if dies:
+        # a dead member drawn with weight 0.8 ends every replica long before
+        # generation 20 unless a hook refills them
+        ens = EnvironmentEnsemble(ens.members + (dead_end_env(order),),
+                                  np.append(np.full(members, 0.2 / members), 0.8))
+        horizon = 20
+    itype = int(gen.integers(1, order + 1))
+    cap = (2 ** 63 - 1) // order
+    state = gen.bit_generator.state
+
+    def run(driver):
+        g = np.random.default_rng()
+        g.bit_generator.state = state
+        try:
+            out = ("ok", driver(g))
+        except InsufficientSurvivorsError as exc:
+            out = ("error", str(exc))
+        return out, g.bit_generator.state
+
+    def live_rows(g):
+        rows, counts = _forward(ens, itype, horizon, g, size, cap,
+                                resample_hook(g) if hook else None)
+        assert np.all(np.diff(rows) > 0) and counts.any(axis=1).all()
+        full = np.zeros((size, order), dtype=np.int64)
+        full[rows] = counts
+        return full.tolist()
+
+    def every_row(g):
+        return reference_forward(ens, itype, horizon, g, size,
+                                 resample_hook(g) if hook else None).tolist()
+
+    got, want = run(live_rows), run(every_row)
+    assert got == want
+    if dies and not hook:
+        assert got[0] == ("ok", [[0] * order] * size)
 
 
 def test_coupled_bookkeeping_agrees_exactly(ab_equal):
@@ -311,6 +393,14 @@ def test_conditional_size_failure_modes(lean_only):
         conditional_size_distribution(lean_only, 1, 2, method="census")
 
 
+@pytest.mark.parametrize("method", ["auto", "direct", "resample"])
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_conditional_size_rejects_horizon_below_one(ab_equal, method, horizon):
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        conditional_size_distribution(ab_equal, 1, horizon, replicas=64,
+                                      method=method)
+
+
 def test_total_variation_hand_value():
     def tiny(support, probs):
         return ConditionalSizeDistribution(
@@ -358,6 +448,20 @@ def test_path_scale_sequence_and_cap():
         log_population_path(ens, 2, 20, replicas=4, seed=0, cap=1000)
     with pytest.raises(InsufficientSurvivorsError):
         log_population_path(only(dead_end_env()), 1, 4, replicas=8, seed=0)
+
+
+def test_path_memory_follows_live_rows():
+    """One chunk of the critical run keeps only live rows' log sizes: a dense
+    (replicas, horizon + 1) float array alone would take 16.8 MB."""
+    ens = load_preset("critical")
+    tracemalloc.start()
+    try:
+        log_population_path(ens, 1, 512, replicas=4096, seed=0, cap=10 ** 15,
+                            chunk_size=4096, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_path_cap_past_int64_is_rejected():
