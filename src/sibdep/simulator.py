@@ -7,11 +7,14 @@ exchangeable, so the aggregated law is the exact process law.  It carries
 only the live replicas, as ascending row ids beside their counts, and hands
 each generation to a `step(t, rows, counts)` hook: extinct replicas make no
 draws and take no step time, and recorded paths grow with the live rows,
-not with replicas times horizon.  The quenched
-engine never simulates populations at all: for a fixed environment sequence
-it composes the offspring generating maps backward from the zero vector,
-giving extinction probabilities that are exact up to float rounding, and
-Monte Carlo enters only through the environment sequence.
+not with replicas times horizon.  Single trajectories run on a loop of
+their own that bookkeeps every draw twice, by sibship sizes and by
+child-group tables, and store each route as one (horizon + 1, N) array, a
+`Trajectory`.  The quenched engine never simulates populations at all:
+for a fixed environment sequence it composes the offspring generating maps
+backward from the zero vector, giving extinction probabilities that are
+exact up to float rounding, and Monte Carlo enters only through the
+environment sequence.
 
 Survival estimates therefore carry a method tag: "quenched-exact" for the
 composition route, "particle-mc" for the particle route.  Conditional-law
@@ -46,10 +49,13 @@ class MacroState:
     generation: int
 
     def __post_init__(self):
-        c = np.array(self.counts, dtype=np.int64)
+        raw = np.asarray(self.counts)
+        c = np.array(raw, dtype=np.int64)
         # count vectors have one entry per type, so a Python min over the
-        # list beats a numpy reduction; this runs once per stored state
-        if c.ndim != 1 or min(c.tolist(), default=0) < 0:
+        # list beats a numpy reduction; integer rows, all a Trajectory
+        # yields, skip the element-wise integrality check
+        if (c.ndim != 1 or min(c.tolist(), default=0) < 0
+                or (raw.dtype.kind not in "iu" and not np.array_equal(c, raw))):
             raise ValueError("counts must be a nonnegative integer vector")
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
@@ -62,6 +68,34 @@ class MacroState:
     @property
     def extinct(self) -> bool:
         return bool(self.counts.sum() == 0)
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """One trajectory as a (horizon + 1, N) array; row t is generation t.
+
+    Indexes and iterates as a sequence of macro states, built on demand;
+    a slice gives a list of them.
+    """
+
+    counts: np.ndarray
+
+    @property
+    def zeta(self) -> np.ndarray:
+        """Individual count per generation."""
+        return self.counts @ np.arange(1, self.counts.shape[1] + 1)
+
+    def __len__(self) -> int:
+        return self.counts.shape[0]
+
+    def __iter__(self):
+        return (MacroState(row, t) for t, row in enumerate(self.counts))
+
+    def __getitem__(self, item):
+        gens = range(len(self))[item]
+        if isinstance(gens, range):
+            return [MacroState(self.counts[t], t) for t in gens]
+        return MacroState(self.counts[gens], gens)
 
 
 def _member_tables(ens: EnvironmentEnsemble):
@@ -154,31 +188,25 @@ def _forward(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
 
 
 def simulate_micro(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
-                   rng: np.random.Generator, cap: int = POPULATION_CAP) -> list[MacroState]:
+                   rng: np.random.Generator, cap: int = POPULATION_CAP) -> Trajectory:
     """One trajectory, group resolved: a single size-i group starts at time 0.
 
     Every generation draws one environment for all groups, then each group
     draws its members' joint child counts.  Children of one member stay
     together as a new group of their own size; childless members leave
-    nothing.  Raises a cap error carrying the partial trajectory.
+    nothing.  This is the micro route of `simulate_macro_coupled`.  Raises a
+    cap error carrying the partial trajectory.
     """
-    states = [MacroState(_initial_counts(ens.order, initial_type, 1)[0], 0)]
-
-    def record(t, rows, counts):
-        states.append(MacroState(counts[0], t))
-
     try:
-        _forward(ens, initial_type, horizon, rng, 1, cap, record)
+        return simulate_macro_coupled(ens, initial_type, horizon, rng, cap)[0]
     except PopulationCapError as exc:
-        exc.trajectory = states
+        exc.trajectory = exc.trajectory[0]
         raise
-    last = states[-1].counts
-    states.extend(MacroState(last, s) for s in range(len(states), horizon + 1))
-    return states
 
 
 def simulate_macro_coupled(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
-                           rng: np.random.Generator, cap: int = POPULATION_CAP):
+                           rng: np.random.Generator, cap: int = POPULATION_CAP
+                           ) -> tuple[Trajectory, Trajectory]:
     """One trajectory bookkept twice from identical draws.
 
     The micro route turns each drawn outcome into child groups by counting
@@ -186,44 +214,38 @@ def simulate_macro_coupled(ens: EnvironmentEnsemble, initial_type: int, horizon:
     the precomputed child-group count tables.  Both see the same multinomial
     draws, so the returned trajectories must agree state by state, and the
     individual count of either equals the weighted group total of the other.
+    No draw is made past extinction; the extinct tail stays zero.
     """
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
     order = ens.order
     _check_cap(order, cap)
     micro_tables = [env._sibship_counts for env in ens.members]
     macro_tables = _member_tables(ens)
     type_sizes = np.arange(1, order + 1)
 
-    micro_counts = _initial_counts(order, initial_type, 1)[0]
-    macro_counts = micro_counts.copy()
-    micro = [MacroState(micro_counts, 0)]
-    macro = [MacroState(macro_counts, 0)]
+    micro = np.zeros((horizon + 1, order), dtype=np.int64)
+    macro = np.zeros((horizon + 1, order), dtype=np.int64)
+    micro[0] = macro[0] = _initial_counts(order, initial_type, 1)[0]
     for t in range(1, horizon + 1):
         member = ens.sample_index(rng)
-        new_micro = np.zeros(order, dtype=np.int64)
-        new_macro = np.zeros(order, dtype=np.int64)
-        for k in range(order):
-            nk = int(macro_counts[k])
+        for k, nk in enumerate(macro[t - 1].tolist()):
             if nk == 0:
                 continue
             weights, child_counts = macro_tables[member][k]
             draws = rng.multinomial(nk, weights)
-            new_macro += draws @ child_counts
-            new_micro += draws @ micro_tables[member][k]
-        size = int(new_macro @ type_sizes)
+            macro[t] += draws @ child_counts
+            micro[t] += draws @ micro_tables[member][k]
+        size = int(macro[t] @ type_sizes)
         if size > cap:
             raise PopulationCapError(
                 f"population {size} exceeds the cap {cap} at generation {t}",
-                generation=t, cap=cap, trajectory=(micro, macro),
+                generation=t, cap=cap,
+                trajectory=(Trajectory(micro[:t]), Trajectory(macro[:t])),
             )
-        micro_counts, macro_counts = new_micro, new_macro
-        micro.append(MacroState(micro_counts, t))
-        macro.append(MacroState(macro_counts, t))
         if size == 0:
-            for s in range(t + 1, horizon + 1):
-                micro.append(MacroState(micro_counts, s))
-                macro.append(MacroState(macro_counts, s))
             break
-    return micro, macro
+    return Trajectory(micro), Trajectory(macro)
 
 
 # -- exact quenched survival ------------------------------------------------
@@ -343,6 +365,8 @@ def survival_scaling_scan(ens: EnvironmentEnsemble, initial_type: int,
         raise ValueError("horizons must be positive")
     if replicas < 2:
         raise ValueError("replicas >= 2 required")
+    if alpha <= 0.0:
+        raise ValueError("alpha must be positive")
     longest = hs[-1]
 
     def task(gen, size):

@@ -292,6 +292,8 @@ def lambda_prime_at_one(source, step: float = 0.1, horizon: int = 512,
     """
     if not 0.0 < step < 1.0:
         raise ValueError("step must lie in (0, 1) so both exponents stay positive")
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     logs = _sampled_log_norms(source, horizon, replicas, seed, use_macro,
                               chunk_size, workers)
     n = logs.shape[0]

@@ -125,9 +125,9 @@ def test_c04_coupled_bookkeeping_identity_on_presets():
             for rep in range(10_000):
                 micro, macro = simulate_macro_coupled(
                     ens, 1, 20, RngStream(400, rep).generator())
-                for sm, sg in zip(micro, macro):
-                    assert np.array_equal(sm.counts, sg.counts)
-                    assert sm.zeta == int(sg.counts @ weights)
+                assert micro.counts.shape == (21, ens.order)
+                assert np.array_equal(micro.counts, macro.counts)
+                assert np.array_equal(micro.zeta, macro.counts @ weights)
 
 
 def test_c05_survival_estimators_cross_validate():

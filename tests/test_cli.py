@@ -182,6 +182,16 @@ def test_paths_rejects_cap_past_int64(capsys):
     assert err["message"].endswith("the largest cap allowed is 4611686018427387903")
 
 
+@pytest.mark.parametrize("alpha", ["0", "-1.5"])
+def test_scan_rejects_nonpositive_alpha(capsys, tmp_path, alpha):
+    rc, out = run_cli(capsys, "scan", "--config", "preset:subcritical",
+                      "--horizons", "2,4", "--replicas", "16",
+                      "--alpha", alpha, "--out", str(tmp_path))
+    err = json.loads(out)["error"]
+    assert rc == 1
+    assert err == {"type": "ValueError", "message": "alpha must be positive"}
+
+
 def test_scan_csv_is_parseable_and_consistent(capsys, tmp_path):
     rc, _ = run_cli(capsys, "scan", "--config", "preset:subcritical",
                     "--horizons", "2,4,8", "--replicas", "256",

@@ -57,6 +57,9 @@ def test_macro_state_basics():
     with pytest.raises(ValueError):
         MacroState(np.array([[1, 0]]), 0)
     with pytest.raises(ValueError):
+        MacroState(np.array([1.7, 0.0]), 0)
+    assert MacroState(np.array([2.0, 0.0]), 0).counts.tolist() == [2, 0]
+    with pytest.raises(ValueError):
         st.counts[0] = 5
 
 
@@ -72,6 +75,18 @@ def test_micro_absorbs_after_extinction():
     assert len(states) == 6
     assert states[0].zeta == 1
     assert all(s.extinct for s in states[1:])
+
+
+@pytest.mark.parametrize("simulate", [simulate_micro, simulate_macro_coupled])
+def test_single_trajectory_horizon_must_be_nonnegative(ab_equal, simulate):
+    with pytest.raises(ValueError, match="horizon"):
+        simulate(ab_equal, 1, -3, RngStream(0, 0).generator())
+    gen = RngStream(0, 0).generator()
+    state = gen.bit_generator.state
+    out = simulate(ab_equal, 2, 0, gen)
+    for traj in (out,) if simulate is simulate_micro else out:
+        assert traj.counts.tolist() == [[0, 1]]
+    assert gen.bit_generator.state == state
 
 
 def test_micro_reproducible(ab_equal):
@@ -193,6 +208,75 @@ def test_live_row_driver_matches_the_every_row_reference(seed, order, members, s
     assert got == want
     if dies and not hook:
         assert got[0] == ("ok", [[0] * order] * size)
+
+
+def assert_trajectory_views(traj):
+    """Iteration, indexing and zeta agree with the counts array."""
+    n = traj.counts.shape[0]
+    states = list(traj)
+    assert len(traj) == n
+    assert [s.generation for s in states] == list(range(n))
+    assert [s.counts.tolist() for s in states] == traj.counts.tolist()
+    assert traj.zeta.tolist() == [s.zeta for s in states]
+    last = traj[-1]
+    assert (last.generation, last.counts.tolist()) == (n - 1, traj.counts[-1].tolist())
+    assert [(s.generation, s.counts.tolist()) for s in traj[1:]] == \
+        [(s.generation, s.counts.tolist()) for s in states[1:]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(1, 3),
+       members=st.integers(1, 3), horizon=st.integers(0, 30),
+       dies=st.booleans(), cap=st.sampled_from([100, 10 ** 12]))
+def test_single_trajectory_routes_match_the_forward_driver(seed, order, members,
+                                                           horizon, dies, cap):
+    gen = np.random.default_rng(seed)
+    ens = random_ensemble(gen, order, members)
+    if dies:
+        ens = EnvironmentEnsemble(ens.members + (dead_end_env(order),),
+                                  np.append(np.full(members, 0.2 / members), 0.8))
+    itype = int(gen.integers(1, order + 1))
+    state = gen.bit_generator.state
+
+    def forward(g):
+        # the batched driver at one replica, padded with zeros past extinction
+        counts = np.zeros((horizon + 1, order), dtype=np.int64)
+        counts[0, itype - 1] = 1
+
+        def record(t, rows, new):
+            counts[t] = new[0]
+
+        try:
+            _forward(ens, itype, horizon, g, 1, cap, record)
+        except PopulationCapError as exc:
+            return counts[:exc.generation], exc.generation
+        return counts, None
+
+    def micro(g):
+        try:
+            traj, failed = simulate_micro(ens, itype, horizon, g, cap), None
+        except PopulationCapError as exc:
+            traj, failed = exc.trajectory, exc.generation
+        assert_trajectory_views(traj)
+        return traj.counts, failed
+
+    def coupled(g):
+        try:
+            (m, c), failed = simulate_macro_coupled(ens, itype, horizon, g, cap), None
+        except PopulationCapError as exc:
+            (m, c), failed = exc.trajectory, exc.generation
+        assert np.array_equal(m.counts, c.counts)
+        return m.counts, failed
+
+    def run(route):
+        g = np.random.default_rng()
+        g.bit_generator.state = state
+        counts, failed = route(g)
+        return counts.tolist(), failed, g.bit_generator.state
+
+    want = run(forward)
+    assert run(micro) == want
+    assert run(coupled) == want
 
 
 def test_coupled_bookkeeping_agrees_exactly(ab_equal):
@@ -340,6 +424,9 @@ def test_scan_validation(ab_sub):
         survival_scaling_scan(ab_sub, 1, [0, 4])
     with pytest.raises(ValueError, match="replicas"):
         survival_scaling_scan(ab_sub, 1, [4], replicas=1)
+    for alpha in (0.0, -1.0):
+        with pytest.raises(ValueError, match="alpha"):
+            survival_scaling_scan(ab_sub, 1, [4], replicas=16, alpha=alpha)
 
 
 def test_conditional_size_point_mass_on_line(line_only):

@@ -191,6 +191,8 @@ def test_derivative_negative_when_mixture_shrinks(ab_sub):
     assert d.value + 3.0 * d.stderr < 0.0
     with pytest.raises(ValueError, match="step"):
         lambda_prime_at_one(ab_sub, step=1.0)
+    with pytest.raises(ValueError, match="horizon"):
+        lambda_prime_at_one(ab_sub, horizon=0)
 
 
 def test_condition_report_on_balanced_pair(critical_pair):
