@@ -6,12 +6,16 @@ deterministically.  With ``--out DIR`` the results are persisted as files plus
 a run manifest and a one-line summary goes to standard output; without it the
 full JSON payload is printed instead and nothing is written.
 
-Persisted artifacts embed a config hash: the SHA-256 of the canonical JSON
-encoding of the command name, the ensemble document, and every numeric
-parameter including the seed.  Re-running a command with the same config and
-seed reproduces the result files byte for byte.  The manifest records each
-result file's SHA-256 digest; ``verify_run_dir`` rechecks a directory against
-its manifest and flags stale or edited files.
+All commands but ``validate`` share one runner: the command computes a result
+body, an optional CSV table and a summary line, and the runner adds the
+header, writes ``<command>.json`` (and ``<command>.csv`` under ``--format
+csv``) and the manifest.  Persisted artifacts embed a config hash: the SHA-256
+of the canonical JSON encoding of the command name, the ensemble document,
+and every parsed option except ``--config``, ``--out`` and ``--format``.
+Re-running a command with the same config and seed reproduces the result
+files byte for byte.  The manifest records each result file's SHA-256 digest;
+``verify_run_dir`` rechecks a directory against its manifest and flags stale
+or edited files.
 
 Exit codes: 0 success, 1 domain error (reported as machine-readable JSON on
 standard output), 2 usage or parse error.
@@ -19,6 +23,7 @@ standard output), 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -34,8 +39,9 @@ from .env_model import (
     ensemble_from_dict,
     validate_sibling_law,
 )
-from .moments import mean_matrix, moment_set, perron
+from .moments import moment_set, perron
 from .presets import PRESET_NAMES, preset_path
+from .records import plain
 from .simulator import (
     POPULATION_CAP,
     conditional_size_distribution,
@@ -54,34 +60,26 @@ from .spectral import (
 
 PRESET_PREFIX = "preset:"
 
+# parsed attributes that say where and how results are written, not what
+# they are; every other attribute goes into the config hash
+_UNHASHED = ("command", "func", "config", "out", "format")
+
 
 # -- canonical encoding ----------------------------------------------------
 
-def _jsonable(obj):
-    """Recursively convert numpy scalars and arrays to plain Python types."""
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def canonical_json(obj) -> str:
-    """Key-sorted, separator-free JSON used for hashing and persisted files."""
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
+    """Key-sorted, separator-free JSON: the encoding the config hash digests."""
+    return json.dumps(plain(obj), sort_keys=True, separators=(",", ":"))
 
 
 def config_hash(command: str, doc: dict, params: dict) -> str:
     payload = {"command": command, "ensemble": doc, "params": params}
     return hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
+
+
+def hashed_options(ns) -> dict:
+    """The parsed options a command's config hash covers."""
+    return {k: v for k, v in vars(ns).items() if k not in _UNHASHED}
 
 
 def _fmt(value) -> str:
@@ -92,11 +90,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _pretty_json(payload: dict) -> str:
+    """The layout of result files and of payloads printed to stdout."""
+    return json.dumps(plain(payload), sort_keys=True, indent=2)
+
+
 # -- artifact writing ------------------------------------------------------
 
 def write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2)
-    path.write_text(text + "\n", encoding="utf-8")
+    path.write_text(_pretty_json(payload) + "\n", encoding="utf-8")
 
 
 def write_csv(path: Path, chash: str, header: list[str], rows) -> None:
@@ -161,41 +163,6 @@ def verify_run_dir(out_dir) -> dict:
             "ok": not mismatches}
 
 
-class _Artifacts:
-    """Collects result files for one command run, then writes the manifest."""
-
-    def __init__(self, out_dir, command, chash, seed):
-        self.out = Path(out_dir) if out_dir else None
-        self.command = command
-        self.chash = chash
-        self.seed = seed
-        self.names: list[str] = []
-        self.start = time.monotonic()
-        if self.out is not None:
-            self.out.mkdir(parents=True, exist_ok=True)
-
-    def json(self, name: str, payload: dict) -> None:
-        if self.out is None:
-            return
-        write_json(self.out / name, payload)
-        self.names.append(name)
-
-    def csv(self, name: str, header: list[str], rows) -> None:
-        if self.out is None:
-            return
-        write_csv(self.out / name, self.chash, header, rows)
-        self.names.append(name)
-
-    def finish(self, payload: dict, summary: str) -> int:
-        if self.out is None:
-            print(json.dumps(_jsonable(payload), sort_keys=True, indent=2))
-        else:
-            write_manifest(self.out, self.command, self.chash, self.seed,
-                           time.monotonic() - self.start, self.names)
-            print(summary)
-        return 0
-
-
 # -- config ingestion ------------------------------------------------------
 
 def _read_doc(source: str) -> dict:
@@ -215,22 +182,48 @@ def _read_doc(source: str) -> dict:
             f"column {exc.colno}: {exc.msg}") from exc
 
 
-def _load_config(source: str) -> tuple[EnvironmentEnsemble, dict]:
-    doc = _read_doc(source)
-    return ensemble_from_dict(doc), doc
+# -- the runner ------------------------------------------------------------
+
+def run_command(compute, ns) -> int:
+    """Run one artifact-writing command and report its result.
+
+    ``compute(ens, ns)`` returns the result body, the CSV table as
+    ``(header, rows)`` or None, and a one-line summary.  The body, under a
+    ``config_hash``/``seed``/``label`` header, prints to stdout, or with
+    ``--out`` goes to ``<command>.json``; the table goes to
+    ``<command>.csv`` under ``--format csv`` only; the manifest lists both.
+    """
+    doc = _read_doc(ns.config)
+    ens = ensemble_from_dict(doc)
+    chash = config_hash(ns.command, doc, hashed_options(ns))
+    start = time.monotonic()
+    body, table, summary = compute(ens, ns)
+    payload = {"config_hash": chash, "seed": ns.seed, "label": ens.label, **body}
+    if ns.out is None:
+        print(_pretty_json(payload))
+        return 0
+    out = Path(ns.out)
+    out.mkdir(parents=True, exist_ok=True)
+    names = [f"{ns.command}.json"]
+    write_json(out / names[0], payload)
+    if table is not None and ns.format == "csv":
+        names.append(f"{ns.command}.csv")
+        write_csv(out / names[1], chash, *table)
+    write_manifest(out, ns.command, chash, ns.seed, time.monotonic() - start, names)
+    print(summary)
+    return 0
 
 
 # -- commands --------------------------------------------------------------
 
 def cmd_validate(ns) -> int:
     try:
-        doc = _read_doc(ns.config)
-        ens = ensemble_from_dict(doc)
+        ens = ensemble_from_dict(_read_doc(ns.config))
     except InvalidLawError as exc:
         report = {"ok": False, "error": str(exc)}
         if exc.report:
             report["reports"] = {str(k): r.to_dict() for k, r in exc.report.items()}
-        print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
+        print(_pretty_json(report))
         return 1
     members = []
     for env, weight in zip(ens.members, ens.weights):
@@ -239,213 +232,119 @@ def cmd_validate(ns) -> int:
             "weight": float(weight),
             "laws": [validate_sibling_law(law).to_dict() for law in env.laws],
         })
-    print(json.dumps(_jsonable({
-        "ok": True,
-        "label": ens.label,
-        "order": ens.order,
-        "members": members,
-    }), sort_keys=True, indent=2))
+    print(_pretty_json({"ok": True, "label": ens.label, "order": ens.order,
+                        "members": members}))
     return 0
 
 
-def cmd_moments(ns) -> int:
-    ens, doc = _load_config(ns.config)
-    params = {"seed": ns.seed}
-    chash = config_hash("moments", doc, params)
-    art = _Artifacts(ns.out, "moments", chash, ns.seed)
-
+def cmd_moments(ens: EnvironmentEnsemble, ns):
     sets = [moment_set(env) for env in ens.members]
-    mixture_mean = sum(
-        w * mean_matrix(env) for w, env in zip(ens.weights, ens.members)
-    )
-    mixture_root = perron(np.asarray(mixture_mean)).value
-    payload = {
-        "config_hash": chash,
-        "seed": ns.seed,
-        "label": ens.label,
-        "order": ens.order,
-        "weights": ens.weights.tolist(),
-        "members": [ms.to_dict() for ms in sets],
-        "mixture": {"mean": np.asarray(mixture_mean).tolist(),
-                    "perron_root": mixture_root},
-    }
-    art.json("moments.json", payload)
-    return art.finish(payload, f"moments: {ens.size} members, "
-                               f"mixture perron root {mixture_root:.6f}")
+    mixture_mean = sum(w * ms.mean for w, ms in zip(ens.weights, sets))
+    mixture_root = perron(mixture_mean).value
+    body = {"order": ens.order, "weights": ens.weights,
+            "members": [ms.to_dict() for ms in sets],
+            "mixture": {"mean": mixture_mean, "perron_root": mixture_root}}
+    return body, None, (f"moments: {ens.size} members, "
+                        f"mixture perron root {mixture_root:.6f}")
 
 
-def cmd_lyapunov(ns) -> int:
-    ens, doc = _load_config(ns.config)
-    params = {"seed": ns.seed, "horizon": ns.horizon, "replicas": ns.replicas,
-              "macro": ns.macro, "theta": ns.theta, "derivative": ns.derivative,
-              "step": ns.step}
-    chash = config_hash("lyapunov", doc, params)
-    art = _Artifacts(ns.out, "lyapunov", chash, ns.seed)
-
-    growth = estimate_lyapunov(ens, horizon=ns.horizon, replicas=ns.replicas,
-                               seed=ns.seed, use_macro=ns.macro)
-    payload = {"config_hash": chash, "seed": ns.seed, "label": ens.label,
-               "growth_rate": growth.to_dict()}
+def cmd_lyapunov(ens: EnvironmentEnsemble, ns):
+    sample = {"horizon": ns.horizon, "replicas": ns.replicas, "seed": ns.seed,
+              "use_macro": ns.macro}
+    growth = estimate_lyapunov(ens, **sample)
+    body = {"growth_rate": growth.to_dict()}
     if ns.theta is not None:
-        moment = estimate_lambda_theta(ens, ns.theta, horizon=ns.horizon,
-                                       replicas=ns.replicas, seed=ns.seed,
-                                       use_macro=ns.macro)
-        payload["moment_growth"] = moment.to_dict()
+        body["moment_growth"] = estimate_lambda_theta(ens, ns.theta, **sample).to_dict()
     if ns.derivative:
-        deriv = lambda_prime_at_one(ens, step=ns.step, horizon=ns.horizon,
-                                    replicas=ns.replicas, seed=ns.seed,
-                                    use_macro=ns.macro)
-        payload["moment_growth_slope"] = deriv.to_dict()
-    art.json("lyapunov.json", payload)
-    return art.finish(payload, f"lyapunov: growth rate {growth.value:+.6f} "
-                               f"(stderr {growth.stderr:.2e})")
+        body["moment_growth_slope"] = lambda_prime_at_one(
+            ens, step=ns.step, **sample).to_dict()
+    return body, None, (f"lyapunov: growth rate {growth.value:+.6f} "
+                        f"(stderr {growth.stderr:.2e})")
 
 
-def cmd_conditions(ns) -> int:
-    ens, doc = _load_config(ns.config)
-    params = {"seed": ns.seed, "horizon": ns.horizon, "replicas": ns.replicas,
-              "theta": ns.theta, "eps": ns.eps, "alpha": ns.alpha}
-    chash = config_hash("conditions", doc, params)
-    art = _Artifacts(ns.out, "conditions", chash, ns.seed)
-
+def cmd_conditions(ens: EnvironmentEnsemble, ns):
     report = check_conditions(ens, ConditionParams(
         theta=ns.theta, eps=ns.eps, alpha=ns.alpha,
         horizon=ns.horizon, replicas=ns.replicas, seed=ns.seed))
-    holds = sum(1 for c in report.checks if c.holds is True)
-    fails = sum(1 for c in report.checks if c.holds is False)
-    undecided = sum(1 for c in report.checks if c.holds is None)
-    payload = {"config_hash": chash, "seed": ns.seed, "label": ens.label}
-    payload.update(report.to_dict())
-    art.json("conditions.json", payload)
-    return art.finish(payload, f"conditions: {holds} hold, {fails} fail, "
-                               f"{undecided} undecided")
+    n = {v: sum(1 for c in report.checks if c.holds is v) for v in (True, False, None)}
+    return report.to_dict(), None, (
+        f"conditions: {n[True]} hold, {n[False]} fail, {n[None]} undecided")
 
 
-def cmd_calibrate(ns) -> int:
-    ens, doc = _load_config(ns.config)
+def cmd_calibrate(ens: EnvironmentEnsemble, ns):
     if ens.size != 2:
         raise ValueError(
             "calibrate needs a two-member ensemble "
             "(member 0 expanding, member 1 contracting); "
             f"config has {ens.size}")
-    params = {"seed": ns.seed, "tol": ns.tol, "horizon": ns.horizon,
-              "replicas": ns.replicas, "max_iter": ns.max_iter}
-    chash = config_hash("calibrate", doc, params)
-    art = _Artifacts(ns.out, "calibrate", chash, ns.seed)
-
     result = calibrate_critical(ens.members[0], ens.members[1],
                                 tol=ns.tol, horizon=ns.horizon,
                                 replicas=ns.replicas, seed=ns.seed,
                                 max_iter=ns.max_iter)
-    payload = {"config_hash": chash, "seed": ns.seed, "label": ens.label}
-    payload.update(result.to_dict())
-    art.json("calibrate.json", payload)
-    art.csv("calibrate.csv", ["step", "weight", "growth", "stderr"],
-            [(i, w, v, s) for i, (w, v, s) in enumerate(result.trace)])
-    return art.finish(payload,
-                      f"calibrate: weight {result.weight:.6f} on expanding "
-                      f"member, growth {result.growth.value:+.3e} after "
-                      f"{result.iterations} iterations")
+    table = (["step", "weight", "growth", "stderr"],
+             [(i, w, v, s) for i, (w, v, s) in enumerate(result.trace)])
+    return result.to_dict(), table, (
+        f"calibrate: weight {result.weight:.6f} on expanding member, "
+        f"growth {result.growth.value:+.3e} after {result.iterations} iterations")
 
 
-def cmd_survival(ns) -> int:
-    ens, doc = _load_config(ns.config)
-    params = {"seed": ns.seed, "initial_type": ns.initial_type,
-              "horizon": ns.horizon, "replicas": ns.replicas,
-              "method": ns.method}
-    chash = config_hash("survival", doc, params)
-    art = _Artifacts(ns.out, "survival", chash, ns.seed)
-
+def cmd_survival(ens: EnvironmentEnsemble, ns):
     est = estimate_survival(ens, ns.initial_type, ns.horizon,
                             replicas=ns.replicas, seed=ns.seed,
                             method=ns.method)
-    payload = {"config_hash": chash, "seed": ns.seed, "label": ens.label}
-    payload.update(est.to_dict())
-    if ns.format == "csv":
-        art.csv("survival.csv",
-                ["horizon", "initial_type", "estimate", "stderr",
-                 "replicas", "method"],
-                [(est.horizon, est.initial_type, est.value, est.stderr,
-                  est.replicas, est.method)])
-    art.json("survival.json", payload)
-    return art.finish(payload, f"survival: {est.value:.6g} "
-                               f"(stderr {est.stderr:.2e}) at horizon "
-                               f"{est.horizon}")
+    table = (["horizon", "initial_type", "estimate", "stderr", "replicas", "method"],
+             [(est.horizon, est.initial_type, est.value, est.stderr,
+               est.replicas, est.method)])
+    return est.to_dict(), table, (f"survival: {est.value:.6g} "
+                                  f"(stderr {est.stderr:.2e}) at horizon {est.horizon}")
 
 
-def cmd_scan(ns) -> int:
-    ens, doc = _load_config(ns.config)
-    horizons = [int(h) for h in ns.horizons.split(",") if h.strip()]
-    params = {"seed": ns.seed, "initial_type": ns.initial_type,
-              "horizons": horizons, "replicas": ns.replicas,
-              "alpha": ns.alpha}
-    chash = config_hash("scan", doc, params)
-    art = _Artifacts(ns.out, "scan", chash, ns.seed)
-
-    rows = survival_scaling_scan(ens, ns.initial_type, horizons,
+def cmd_scan(ens: EnvironmentEnsemble, ns):
+    rows = survival_scaling_scan(ens, ns.initial_type, ns.horizons,
                                  replicas=ns.replicas, alpha=ns.alpha,
                                  seed=ns.seed)
-    payload = {"config_hash": chash, "seed": ns.seed, "label": ens.label,
-               "initial_type": ns.initial_type, "alpha": ns.alpha,
-               "replicas": ns.replicas,
-               "rows": [r.to_dict() for r in rows]}
-    if ns.format == "csv":
-        art.csv("scan.csv", ["horizon", "estimate", "stderr", "scaled"],
-                [(r.horizon, r.estimate, r.stderr, r.scaled) for r in rows])
-    art.json("scan.json", payload)
-    return art.finish(payload,
-                      f"scan: {len(rows)} horizons, scaled column "
-                      f"{rows[0].scaled:.4f} -> {rows[-1].scaled:.4f}")
+    body = {"initial_type": ns.initial_type, "alpha": ns.alpha,
+            "replicas": ns.replicas, "rows": [r.to_dict() for r in rows]}
+    table = (["horizon", "estimate", "stderr", "scaled"],
+             [(r.horizon, r.estimate, r.stderr, r.scaled) for r in rows])
+    return body, table, (f"scan: {len(rows)} horizons, scaled column "
+                         f"{rows[0].scaled:.4f} -> {rows[-1].scaled:.4f}")
 
 
-def cmd_paths(ns) -> int:
-    ens, doc = _load_config(ns.config)
-    params = {"seed": ns.seed, "initial_type": ns.initial_type,
-              "horizon": ns.horizon, "replicas": ns.replicas,
-              "alpha": ns.alpha, "cap": ns.cap}
-    chash = config_hash("paths", doc, params)
-    art = _Artifacts(ns.out, "paths", chash, ns.seed)
-
-    ensemble = log_population_path(ens, ns.initial_type, ns.horizon,
-                                   replicas=ns.replicas, alpha=ns.alpha,
-                                   seed=ns.seed, cap=ns.cap)
-    payload = {"config_hash": chash, "seed": ns.seed, "label": ens.label,
-               "initial_type": ns.initial_type, "cap": ns.cap}
-    payload.update(ensemble.summary_dict())
-    if ns.format == "csv":
-        art.csv("paths.csv", ["replica", "endpoint"],
-                list(enumerate(ensemble.endpoints)))
-    art.json("paths.json", payload)
-    return art.finish(payload,
-                      f"paths: {ensemble.survivors} of {ensemble.replicas} "
-                      f"replicas survive to horizon {ensemble.horizon}")
+def cmd_paths(ens: EnvironmentEnsemble, ns):
+    paths = log_population_path(ens, ns.initial_type, ns.horizon,
+                                replicas=ns.replicas, alpha=ns.alpha,
+                                seed=ns.seed, cap=ns.cap)
+    body = {"initial_type": ns.initial_type, "cap": ns.cap, **paths.summary_dict()}
+    table = (["replica", "endpoint"], list(enumerate(paths.endpoints)))
+    return body, table, (f"paths: {paths.survivors} of {paths.replicas} "
+                         f"replicas survive to horizon {paths.horizon}")
 
 
-def cmd_condsize(ns) -> int:
-    ens, doc = _load_config(ns.config)
-    params = {"seed": ns.seed, "initial_type": ns.initial_type,
-              "horizon": ns.horizon, "replicas": ns.replicas,
-              "method": ns.method}
-    chash = config_hash("condsize", doc, params)
-    art = _Artifacts(ns.out, "condsize", chash, ns.seed)
-
+def cmd_condsize(ens: EnvironmentEnsemble, ns):
     dist = conditional_size_distribution(ens, ns.initial_type, ns.horizon,
                                          replicas=ns.replicas, seed=ns.seed,
                                          method=ns.method)
-    payload = {"config_hash": chash, "seed": ns.seed, "label": ens.label}
-    payload.update(dist.to_dict())
-    if ns.format == "csv":
-        art.csv("condsize.csv", ["size", "probability"],
-                list(zip(dist.support.tolist(), dist.probabilities.tolist())))
-    art.json("condsize.json", payload)
-    return art.finish(payload,
-                      f"condsize: {dist.survivors} survivors, mean size "
-                      f"{dist.mean():.4f} at horizon {dist.horizon}")
+    table = (["size", "probability"],
+             list(zip(dist.support.tolist(), dist.probabilities.tolist())))
+    return dist.to_dict(), table, (f"condsize: {dist.survivors} survivors, mean size "
+                                   f"{dist.mean():.4f} at horizon {dist.horizon}")
 
 
 # -- parser ----------------------------------------------------------------
 
-def _add_common(sp, replicas: int | None = None) -> None:
+def _horizon_list(text: str) -> list[int]:
+    try:
+        return [int(h) for h in text.split(",") if h.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
+def _add_command(sub, name: str, help: str, compute,
+                 replicas: int | None = None) -> argparse.ArgumentParser:
+    """A subcommand that runs ``compute`` through ``run_command``."""
+    sp = sub.add_parser(name, help=help)
     sp.add_argument("--config", required=True,
                     help="ensemble JSON path, or preset:NAME "
                          f"(presets: {', '.join(PRESET_NAMES)})")
@@ -458,6 +357,8 @@ def _add_common(sp, replicas: int | None = None) -> None:
                          "json writes the summary only")
     if replicas is not None:
         sp.add_argument("--replicas", type=int, default=replicas)
+    sp.set_defaults(func=functools.partial(run_command, compute))
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -472,12 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", required=True)
     sp.set_defaults(func=cmd_validate)
 
-    sp = sub.add_parser("moments", help="per-member moment summaries")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_moments)
+    _add_command(sub, "moments", "per-member moment summaries", cmd_moments)
 
-    sp = sub.add_parser("lyapunov", help="top growth rate of random products")
-    _add_common(sp, replicas=256)
+    sp = _add_command(sub, "lyapunov", "top growth rate of random products",
+                      cmd_lyapunov, replicas=256)
     sp.add_argument("--horizon", type=int, default=512)
     sp.add_argument("--theta", type=float, default=None,
                     help="also estimate the moment growth rate at this exponent")
@@ -487,58 +386,49 @@ def build_parser() -> argparse.ArgumentParser:
                     help="finite difference half-width for --derivative")
     sp.add_argument("--macro", action="store_true",
                     help="use group-level mean matrices")
-    sp.set_defaults(func=cmd_lyapunov)
 
-    sp = sub.add_parser("conditions", help="structural condition report")
-    _add_common(sp, replicas=256)
+    sp = _add_command(sub, "conditions", "structural condition report",
+                      cmd_conditions, replicas=256)
     sp.add_argument("--horizon", type=int, default=512)
     sp.add_argument("--theta", type=float, default=1.0)
     sp.add_argument("--eps", type=float, default=0.1)
     sp.add_argument("--alpha", type=float, default=2.0)
-    sp.set_defaults(func=cmd_conditions)
 
-    sp = sub.add_parser("calibrate",
-                        help="find the critical mixture weight of a "
-                             "two-member ensemble")
-    _add_common(sp, replicas=512)
+    sp = _add_command(sub, "calibrate", "find the critical mixture weight of a "
+                                        "two-member ensemble",
+                      cmd_calibrate, replicas=512)
     sp.add_argument("--tol", type=float, default=1e-3)
     sp.add_argument("--horizon", type=int, default=2000)
     sp.add_argument("--max-iter", type=int, default=60)
-    sp.set_defaults(func=cmd_calibrate)
 
-    sp = sub.add_parser("survival", help="extinction-complement estimate")
-    _add_common(sp, replicas=10_000)
+    sp = _add_command(sub, "survival", "extinction-complement estimate",
+                      cmd_survival, replicas=10_000)
     sp.add_argument("--initial-type", type=int, default=1)
     sp.add_argument("--horizon", type=int, default=64)
     sp.add_argument("--method", choices=("quenched", "particle"),
                     default="quenched")
-    sp.set_defaults(func=cmd_survival)
 
-    sp = sub.add_parser("scan", help="survival decay across horizons")
-    _add_common(sp, replicas=10_000)
+    sp = _add_command(sub, "scan", "survival decay across horizons",
+                      cmd_scan, replicas=10_000)
     sp.add_argument("--initial-type", type=int, default=1)
-    sp.add_argument("--horizons", default="64,128,256,512",
+    sp.add_argument("--horizons", type=_horizon_list, default="64,128,256,512",
                     help="comma-separated horizon list")
     sp.add_argument("--alpha", type=float, default=2.0)
-    sp.set_defaults(func=cmd_scan)
 
-    sp = sub.add_parser("paths", help="normalized log size paths of survivors")
-    _add_common(sp, replicas=20_000)
+    sp = _add_command(sub, "paths", "normalized log size paths of survivors",
+                      cmd_paths, replicas=20_000)
     sp.add_argument("--initial-type", type=int, default=1)
     sp.add_argument("--horizon", type=int, default=512)
     sp.add_argument("--alpha", type=float, default=2.0)
     sp.add_argument("--cap", type=int, default=POPULATION_CAP,
                     help="per-generation population cap")
-    sp.set_defaults(func=cmd_paths)
 
-    sp = sub.add_parser("condsize",
-                        help="population size law among survivors")
-    _add_common(sp, replicas=20_000)
+    sp = _add_command(sub, "condsize", "population size law among survivors",
+                      cmd_condsize, replicas=20_000)
     sp.add_argument("--initial-type", type=int, default=1)
     sp.add_argument("--horizon", type=int, default=20)
     sp.add_argument("--method", choices=("auto", "direct", "resample"),
                     default="auto")
-    sp.set_defaults(func=cmd_condsize)
 
     return parser
 

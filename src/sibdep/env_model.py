@@ -117,22 +117,6 @@ class SiblingLaw:
                 mat[a, v] += 1
         return mat
 
-    def orbit_sizes(self) -> np.ndarray:
-        """Number of distinct orderings of each atom."""
-        counts = self.count_matrix()
-        fact = np.array([math.factorial(int(c)) for c in counts.ravel()]).reshape(counts.shape)
-        return math.factorial(self.group_size) // fact.prod(axis=1)
-
-    def ordered_expansion(self) -> dict[tuple[int, ...], float]:
-        """Expand orbit weights uniformly over all distinct orderings."""
-        out: dict[tuple[int, ...], float] = {}
-        for t, w in self.atoms:
-            orderings = set(itertools.permutations(t))
-            share = w / len(orderings)
-            for o in orderings:
-                out[o] = share
-        return out
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -423,20 +407,6 @@ class Environment:
 
     def phi_vector(self, s: np.ndarray) -> np.ndarray:
         return self.phi_map(np.asarray(s, dtype=float)[None, :])[0]
-
-    # -- sampling ----------------------------------------------------------
-
-    def sample_offspring_vector(self, i: int, rng: np.random.Generator) -> tuple[int, ...]:
-        """Draw one ordered joint offspring vector for a size-i group."""
-        self._check_size(i)
-        a = rng.choice(len(self._atom_weights[i - 1]), p=self._atom_weights[i - 1])
-        t, _ = self.laws[i - 1].atoms[a]
-        return tuple(int(v) for v in rng.permutation(np.array(t, dtype=np.int64)))
-
-    def sample_atom_counts(self, i: int, n_groups, rng: np.random.Generator) -> np.ndarray:
-        """Multinomial split of n_groups independent group draws over the atoms."""
-        self._check_size(i)
-        return rng.multinomial(n_groups, self._atom_weights[i - 1])
 
 
 @dataclass(frozen=True)

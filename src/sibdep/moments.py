@@ -17,6 +17,7 @@ import numpy as np
 
 from .env_model import Environment
 from .errors import DegenerateEnvironmentError, PowerIterationError
+from .records import Record
 
 
 def mean_matrix(env: Environment) -> np.ndarray:
@@ -258,7 +259,7 @@ def delta_max(env: Environment) -> float:
 
 
 @dataclass(frozen=True)
-class MomentSet:
+class MomentSet(Record):
     """Every derived moment quantity of one environment, computed eagerly."""
 
     order: int
@@ -276,33 +277,17 @@ class MomentSet:
     delta_max: float
     label: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "order": self.order,
-            "mean": self.mean.tolist(),
-            "hessians": self.hessians.tolist(),
-            "hessian_sum": self.hessian_sum,
-            "mean_norm": self.mean_norm,
-            "curvature_ratio": self.curvature_ratio,
-            "macro_mean": self.macro_mean.tolist(),
-            "macro_second": self.macro_second.tolist(),
-            "perron_root": self.perron_root,
-            "right_eigenvector": self.right_eigenvector.tolist(),
-            "group_type_weights": self.group_type_weights.tolist(),
-            "eta_variances": self.eta_variances.tolist(),
-            "delta_max": self.delta_max,
-        }
-
 
 def moment_set(env: Environment, tol: float = 1e-12) -> MomentSet:
     """Assemble the full moment summary for one environment."""
     stats = curvature_stats(env)
     macro = macro_moments(env)
-    pr = perron(mean_matrix(env), tol=tol)
+    mean = mean_matrix(env)
+    pr = perron(mean, tol=tol)
+    eta = eta_variance_matrix(env)
     return MomentSet(
         order=env.order,
-        mean=mean_matrix(env),
+        mean=mean,
         hessians=hessians(env),
         hessian_sum=stats.hessian_sum,
         mean_norm=stats.mean_norm,
@@ -312,7 +297,7 @@ def moment_set(env: Environment, tol: float = 1e-12) -> MomentSet:
         perron_root=pr.value,
         right_eigenvector=pr.vector,
         group_type_weights=macro_eigenvector(pr.vector),
-        eta_variances=eta_variance_matrix(env),
-        delta_max=delta_max(env),
+        eta_variances=eta,
+        delta_max=float(eta.max()),
         label=env.label,
     )

@@ -33,9 +33,6 @@ class RngStream:
         ss = np.random.SeedSequence((int(self.seed), int(self.stream_index)))
         return np.random.Generator(np.random.PCG64(ss))
 
-    def substream(self, offset: int) -> "RngStream":
-        return RngStream(self.seed, self.stream_index + int(offset))
-
 
 def worker_count() -> int:
     raw = os.environ.get("SIBDEP_WORKERS", "1")

@@ -34,6 +34,7 @@ import numpy as np
 
 from .env_model import Environment, EnvironmentEnsemble
 from .errors import InsufficientSurvivorsError, PopulationCapError
+from .records import Record
 from .rng import DEFAULT_CHUNK_SIZE, run_chunked
 
 POPULATION_CAP = 1_000_000_000
@@ -280,18 +281,13 @@ def _quenched_survival_rows(ens: EnvironmentEnsemble, member_idx: np.ndarray,
 
 
 @dataclass(frozen=True)
-class SurvivalEstimate:
+class SurvivalEstimate(Record):
     horizon: int
     initial_type: int
     value: float
     stderr: float
     replicas: int
     method: str        # "quenched-exact" or "particle-mc"
-
-    def to_dict(self) -> dict:
-        return {"horizon": self.horizon, "initial_type": self.initial_type,
-                "value": self.value, "stderr": self.stderr,
-                "replicas": self.replicas, "method": self.method}
 
 
 def _summarize(values: np.ndarray, horizon, initial_type, method) -> SurvivalEstimate:
@@ -338,15 +334,11 @@ def estimate_survival(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
 
 
 @dataclass(frozen=True)
-class ScanRow:
+class ScanRow(Record):
     horizon: int
     estimate: float
     stderr: float
     scaled: float      # horizon^(1/alpha) * estimate
-
-    def to_dict(self) -> dict:
-        return {"horizon": self.horizon, "estimate": self.estimate,
-                "stderr": self.stderr, "scaled": self.scaled}
 
 
 def survival_scaling_scan(ens: EnvironmentEnsemble, initial_type: int,
@@ -388,7 +380,7 @@ def survival_scaling_scan(ens: EnvironmentEnsemble, initial_type: int,
 
 
 @dataclass(frozen=True)
-class ConditionalSizeDistribution:
+class ConditionalSizeDistribution(Record):
     """Empirical law of the individual count given survival to the horizon."""
 
     horizon: int
@@ -409,14 +401,6 @@ class ConditionalSizeDistribution:
 
     def mean(self) -> float:
         return float(self.support @ self.probabilities)
-
-    def to_dict(self) -> dict:
-        return {"horizon": self.horizon, "initial_type": self.initial_type,
-                "support": self.support.tolist(),
-                "probabilities": self.probabilities.tolist(),
-                "survivors": self.survivors, "replicas": self.replicas,
-                "method": self.method, "s_grid": self.s_grid.tolist(),
-                "pgf_values": self.pgf_values.tolist()}
 
 
 def total_variation_distance(a: ConditionalSizeDistribution,
@@ -516,22 +500,11 @@ def conditional_size_distribution(ens: EnvironmentEnsemble, initial_type: int,
 
 
 @dataclass(frozen=True)
-class PathRecord:
-    """One surviving replica's normalized log-population trajectory."""
-
-    times: np.ndarray     # 0, 1/n, ..., 1
-    values: np.ndarray    # horizon^(-1/alpha) * scale * log individual count
-
-    @property
-    def endpoint(self) -> float:
-        return float(self.values[-1])
-
-
-@dataclass(frozen=True)
 class PathEnsemble:
     """Surviving paths as one (survivors, horizon + 1) array of values.
 
-    Iterates as a sequence of path records, built on demand.
+    Row r holds horizon^(-1/alpha) * scale * log individual count of one
+    surviving replica at the times 0, 1/n, ..., 1.
     """
 
     values: np.ndarray
@@ -551,15 +524,6 @@ class PathEnsemble:
     @property
     def mean_path(self) -> np.ndarray:
         return self.values.mean(axis=0)
-
-    def __len__(self) -> int:
-        return self.survivors
-
-    def __iter__(self):
-        return (PathRecord(times=self.times, values=row) for row in self.values)
-
-    def __getitem__(self, item) -> PathRecord:
-        return PathRecord(times=self.times, values=self.values[item])
 
     def summary_dict(self) -> dict:
         return {"horizon": self.horizon, "alpha": self.alpha,

@@ -21,6 +21,7 @@ from . import moments as mo
 from .env_model import Environment, EnvironmentEnsemble
 from .errors import (CalibrationError, DegenerateEnvironmentError,
                      DegenerateProductError)
+from .records import Record
 from .rng import DEFAULT_CHUNK_SIZE, RngStream, run_chunked
 
 
@@ -188,17 +189,13 @@ def _sampled_log_norms(source, horizon, replicas, seed, use_macro, chunk_size, w
 
 
 @dataclass(frozen=True)
-class GrowthEstimate:
+class GrowthEstimate(Record):
     """Monte Carlo estimate of the top log growth rate."""
 
     value: float
     stderr: float
     horizon: int
     replicas: int
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "stderr": self.stderr,
-                "horizon": self.horizon, "replicas": self.replicas}
 
 
 def estimate_lyapunov(source, horizon: int = 512, replicas: int = 256, seed: int = 0,
@@ -216,7 +213,7 @@ def estimate_lyapunov(source, horizon: int = 512, replicas: int = 256, seed: int
 
 
 @dataclass(frozen=True)
-class MomentGrowthEstimate:
+class MomentGrowthEstimate(Record):
     """Monte Carlo estimate of the moment growth rate at one exponent."""
 
     value: float        # estimated growth rate of the theta-moment, per step
@@ -225,11 +222,6 @@ class MomentGrowthEstimate:
     theta: float
     horizon: int
     replicas: int
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "log_value": self.log_value,
-                "stderr": self.stderr, "theta": self.theta,
-                "horizon": self.horizon, "replicas": self.replicas}
 
 
 def _log_mean_exp(values: np.ndarray):
@@ -267,16 +259,12 @@ def estimate_lambda_theta(source, theta: float, horizon: int = 512,
 
 
 @dataclass(frozen=True)
-class DerivativeEstimate:
+class DerivativeEstimate(Record):
     value: float
     stderr: float
     step: float
     horizon: int
     replicas: int
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "stderr": self.stderr, "step": self.step,
-                "horizon": self.horizon, "replicas": self.replicas}
 
 
 def lambda_prime_at_one(source, step: float = 0.1, horizon: int = 512,
@@ -338,20 +326,16 @@ class ConditionParams:
 
 
 @dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(Record):
     id: str
     description: str
     holds: bool | None       # None marks "not decidable by this check"
     values: dict
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {"id": self.id, "description": self.description,
-                "holds": self.holds, "values": self.values, "note": self.note}
-
 
 @dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     checks: tuple[ConditionCheck, ...]
     params: ConditionParams
 
@@ -360,10 +344,6 @@ class ConditionReport:
             if c.id == check_id:
                 return c
         raise KeyError(check_id)
-
-    def to_dict(self) -> dict:
-        return {"params": vars(self.params).copy() | {},
-                "checks": [c.to_dict() for c in self.checks]}
 
     def summary_lines(self) -> list[str]:
         out = []
@@ -640,7 +620,7 @@ def check_conditions(ens: EnvironmentEnsemble,
 
 
 @dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(Record):
     weight: float              # mixture weight on the expanding member
     growth: GrowthEstimate     # growth estimate at the returned weight
     iterations: int
@@ -648,13 +628,6 @@ class CalibrationResult:
     horizon: int
     replicas: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {"weight": self.weight, "growth": self.growth.to_dict(),
-                "iterations": self.iterations,
-                "trace": [list(t) for t in self.trace],
-                "horizon": self.horizon, "replicas": self.replicas,
-                "seed": self.seed}
 
 
 def calibrate_critical_pair(mat_super: np.ndarray, mat_sub: np.ndarray,

@@ -15,8 +15,49 @@ try:
 except ModuleNotFoundError:  # Python 3.10, where pytest itself depends on tomli
     import tomli as tomllib
 
-from sibdep.cli import main, verify_run_dir
+from sibdep.cli import build_parser, hashed_options, main, verify_run_dir
 from sibdep.presets import preset_path
+
+
+# every artifact-writing command at a size that runs in milliseconds
+TINY_RUNS = {
+    "moments": ("moments", "--config", "preset:critical"),
+    "lyapunov": ("lyapunov", "--config", "preset:subcritical_mix", "--horizon", "16",
+                 "--replicas", "8", "--theta", "1.5"),
+    "conditions": ("conditions", "--config", "preset:critical", "--horizon", "16",
+                   "--replicas", "8"),
+    "calibrate": ("calibrate", "--config", "preset:boom_bust", "--tol", "0.1",
+                  "--horizon", "50", "--replicas", "16"),
+    "survival": ("survival", "--config", "preset:critical", "--horizon", "4",
+                 "--replicas", "64"),
+    "scan": ("scan", "--config", "preset:subcritical", "--horizons", "2,4",
+             "--replicas", "64"),
+    "paths": ("paths", "--config", "preset:supercritical", "--horizon", "8",
+              "--replicas", "64"),
+    "condsize": ("condsize", "--config", "preset:supercritical", "--horizon", "6",
+                 "--replicas", "512", "--method", "direct"),
+}
+CSV_COMMANDS = ("survival", "scan", "paths", "condsize", "calibrate")
+
+# one changed value per hashed option, appended after the tiny run's own
+# arguments so that it overrides them
+OPTION_CHANGES = {
+    "moments": {},
+    "lyapunov": {"--horizon": "17", "--replicas": "9", "--theta": "1.25",
+                 "--derivative": None, "--step": "0.2", "--macro": None},
+    "conditions": {"--horizon": "17", "--replicas": "9", "--theta": "0.5",
+                   "--eps": "0.2", "--alpha": "1.5"},
+    "calibrate": {"--tol": "0.2", "--horizon": "51", "--replicas": "17",
+                  "--max-iter": "30"},
+    "survival": {"--initial-type": "2", "--horizon": "5", "--replicas": "65",
+                 "--method": "particle"},
+    "scan": {"--initial-type": "2", "--horizons": "2,5", "--replicas": "65",
+             "--alpha": "1.5"},
+    "paths": {"--initial-type": "2", "--horizon": "9", "--replicas": "65",
+              "--alpha": "1.5", "--cap": "1000000"},
+    "condsize": {"--initial-type": "2", "--horizon": "7", "--replicas": "513",
+                 "--method": "resample"},
+}
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +145,23 @@ def test_moments_on_periodic_mean_matrix(capsys, tmp_path):
 
 
 def test_run_directory_artifacts_and_verification(capsys, tmp_path):
+    # every artifact-writing command: a rerun writes byte-identical result
+    # files, and the run directory verifies against its manifest
+    for command, tiny in TINY_RUNS.items():
+        runs = [tmp_path / command / side for side in ("a", "b")]
+        for out in runs:
+            rc, text = run_cli(capsys, *tiny, "--out", str(out))
+            assert rc == 0, command
+            assert text.startswith(f"{command}:") and "{" not in text
+        manifest = read_json(runs[0] / "manifest.json")
+        assert manifest["command"] == command
+        assert manifest["results"] == sorted(
+            f"{command}.{ext}" for ext in ("json", "csv")
+            if ext == "json" or command in CSV_COMMANDS)
+        assert verify_run_dir(runs[0])["ok"] is True, command
+        for name in manifest["results"]:
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
     args = ("survival", "--config", "preset:critical", "--horizon", "8",
             "--replicas", "256")
     out_a, out_b, out_c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
@@ -266,13 +324,44 @@ def test_paths_and_condsize_artifacts(capsys, tmp_path):
     assert sum(float(p) for _, p in rows) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_json_only_format_skips_csv(capsys, tmp_path):
-    rc, _ = run_cli(capsys, "survival", "--config", "preset:critical",
-                    "--horizon", "4", "--replicas", "64",
-                    "--format", "json", "--out", str(tmp_path))
+@pytest.mark.parametrize("command", CSV_COMMANDS)
+def test_json_only_format_skips_csv(capsys, tmp_path, command):
+    rc, _ = run_cli(capsys, *TINY_RUNS[command], "--format", "json",
+                    "--out", str(tmp_path))
     assert rc == 0
-    assert not (tmp_path / "survival.csv").exists()
-    assert read_json(tmp_path / "manifest.json")["results"] == ["survival.json"]
+    assert not (tmp_path / f"{command}.csv").exists()
+    assert read_json(tmp_path / "manifest.json")["results"] == [f"{command}.json"]
+
+
+@pytest.mark.parametrize("command", sorted(TINY_RUNS))
+def test_config_hash_covers_exactly_the_parsed_options(capsys, tmp_path, command):
+    base = TINY_RUNS[command]
+    hashed = hashed_options(build_parser().parse_args(list(base)))
+    changes = {"--seed": "7", **OPTION_CHANGES[command]}
+    assert {flag[2:].replace("-", "_") for flag in changes} == set(hashed)
+
+    def stdout_hash(*extra):
+        rc, out = run_cli(capsys, *base, *extra)
+        assert rc == 0, out
+        return json.loads(out)["config_hash"]
+
+    chash = stdout_hash()
+    for flag, value in changes.items():
+        extra = (flag,) if value is None else (flag, value)
+        assert stdout_hash(*extra) != chash, flag
+
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        rc, _ = run_cli(capsys, *base, "--format", fmt, "--out", str(out))
+        assert rc == 0
+        assert read_json(out / f"{command}.json")["config_hash"] == chash
+
+
+def test_malformed_horizons_are_a_usage_error(capsys):
+    rc = main(["scan", "--config", "preset:subcritical", "--horizons", "8,x"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "--horizons" in err and "'8,x'" in err
 
 
 CHILD_TIMEOUT_S = 60

@@ -19,6 +19,7 @@ from sibdep.env_model import (
     validate_sibling_law,
 )
 from sibdep.errors import EnsembleFormatError, InvalidLawError
+from sibdep.simulator import simulate_micro
 
 from conftest import make_rich, make_lean, random_ensemble
 
@@ -116,20 +117,6 @@ def test_marginal_row_sums_to_one():
             assert env.marginal_row(i).sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_ordered_expansion_is_exchangeable():
-    env = make_rich()
-    oe = env.laws[1].ordered_expansion()
-    assert oe[(0, 1)] == pytest.approx(oe[(1, 0)], abs=1e-15)
-    assert oe[(0, 1)] == pytest.approx(0.15, abs=1e-15)
-    assert sum(oe.values()) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_orbit_sizes_count_distinct_orderings():
-    law = SiblingLaw(3, 3, (((0, 0, 0), 0.25), ((0, 1, 2), 0.25),
-                            ((1, 1, 2), 0.25), ((3, 3, 3), 0.25)))
-    assert law.orbit_sizes().tolist() == [1, 6, 3, 1]
-
-
 # -- generating maps -------------------------------------------------------
 
 def test_phi_and_f_frozen_values():
@@ -210,31 +197,17 @@ def test_phi_rejects_out_of_box_arguments():
 
 # -- sampling --------------------------------------------------------------
 
-def test_sample_offspring_vector_reproducible_and_in_range():
-    env = make_rich()
-    a = [env.sample_offspring_vector(2, np.random.default_rng(5))
-         for _ in range(10)]
-    b = [env.sample_offspring_vector(2, np.random.default_rng(5))
-         for _ in range(10)]
-    assert a == b
-    for t in a:
-        assert len(t) == 2 and all(0 <= v <= 2 for v in t)
-
-
 def test_sample_empirical_marginal_matches_exact():
+    # one particle step from a size-2 group: each member has j children, and
+    # so founds one size-j group, with the marginal probability p_2j
     env = make_rich()
+    ens = single_environment_ensemble(env)
     gen = np.random.default_rng(99)
-    draws = np.array([env.sample_offspring_vector(2, gen) for _ in range(4000)])
+    groups = np.array([simulate_micro(ens, 2, 1, gen).counts[1] for _ in range(4000)])
+    emp = groups.sum(axis=0) / (2 * 4000)
+    emp = np.concatenate([[1.0 - emp.sum()], emp])
     for j in (0, 1, 2):
-        emp = float((draws == j).sum()) / (2 * 4000)
-        assert emp == pytest.approx(env.marginal(2, j), abs=0.02)
-
-
-def test_sample_atom_counts_totals():
-    env = make_rich()
-    counts = env.sample_atom_counts(2, 500, np.random.default_rng(3))
-    assert counts.sum() == 500
-    assert counts.shape == (env.laws[1].atom_count,)
+        assert emp[j] == pytest.approx(env.marginal(2, j), abs=0.02)
 
 
 def test_ensemble_sampling_follows_weights():

@@ -11,7 +11,6 @@ def test_streams_reproduce_and_separate():
     c = RngStream(5, 3).generator().standard_normal(8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    assert RngStream(5, 2).substream(1) == RngStream(5, 3)
 
 
 def test_chunk_layout_partitions_exactly():

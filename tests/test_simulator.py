@@ -502,17 +502,16 @@ def test_total_variation_hand_value():
 
 def test_path_ensemble_structure(ab_equal):
     pe = log_population_path(ab_equal, 2, 16, replicas=2048, seed=15)
-    assert len(pe) == pe.survivors == pe.values.shape[0]
+    assert pe.survivors == pe.values.shape[0]
     assert 0 < pe.survivors < 2048
     np.testing.assert_allclose(pe.times, np.arange(17) / 16)
     scale = 16 ** -0.5
-    stacked = np.stack([r.values for r in pe])
+    stacked = pe.values
     assert np.all(np.isfinite(stacked))
     np.testing.assert_allclose(stacked[:, 0], scale * math.log(2), rtol=1e-15)
     np.testing.assert_allclose(pe.mean_path, stacked.mean(axis=0), rtol=1e-12)
     np.testing.assert_allclose(pe.endpoints, stacked[:, -1], rtol=0)
     assert np.all(pe.endpoints >= 0.0)
-    assert pe[0].endpoint == pe.endpoints[0]
     assert pe.summary_dict()["survivors"] == pe.survivors
 
 
