@@ -48,14 +48,19 @@ class CurvatureStats:
 
 
 def curvature_stats(env: Environment) -> CurvatureStats:
-    m = mean_matrix(env)
-    norm = float(np.abs(m).sum())
+    return _curvature_stats(env, mean_matrix(env), hessians(env))
+
+
+def _curvature_stats(env: Environment, mean: np.ndarray,
+                     hess: np.ndarray) -> CurvatureStats:
+    """Curvature sums from the environment's already built mean and Hessians."""
+    norm = float(np.abs(mean).sum())
     if norm == 0.0:
         raise DegenerateEnvironmentError(
             f"environment {env.label or '<unnamed>'} has zero mean matrix; "
             "curvature ratio is undefined"
         )
-    total = float(np.abs(hessians(env)).sum())
+    total = float(np.abs(hess).sum())
     return CurvatureStats(hessian_sum=total, mean_norm=norm, ratio=total / norm ** 2)
 
 
@@ -280,15 +285,16 @@ class MomentSet(Record):
 
 def moment_set(env: Environment, tol: float = 1e-12) -> MomentSet:
     """Assemble the full moment summary for one environment."""
-    stats = curvature_stats(env)
-    macro = macro_moments(env)
     mean = mean_matrix(env)
+    hess = hessians(env)
+    stats = _curvature_stats(env, mean, hess)
+    macro = macro_moments(env)
     pr = perron(mean, tol=tol)
     eta = eta_variance_matrix(env)
     return MomentSet(
         order=env.order,
         mean=mean,
-        hessians=hessians(env),
+        hessians=hess,
         hessian_sum=stats.hessian_sum,
         mean_norm=stats.mean_norm,
         curvature_ratio=stats.ratio,

@@ -1,10 +1,12 @@
 """Reproducible random number streams and replica chunking.
 
-Monte Carlo work is split into fixed-size chunks of replicas.  Chunk k always
-draws from the stream (seed, k), and partial results are combined in chunk
-order, so estimates are bit-identical no matter how many workers execute the
-chunks.  The worker count comes from the SIBDEP_WORKERS environment variable
-and defaults to 1.
+Monte Carlo work is split into chunks of DEFAULT_CHUNK_SIZE (4096) replicas,
+the last one partial.  Chunk k always draws from the stream (seed, k), and
+chunk results are joined in chunk order, so estimates are bit-identical no
+matter how many workers execute the chunks.  The chunk size is fixed: it is
+part of the seed contract, since a different size would move every seeded
+result.  The worker count is set only by the SIBDEP_WORKERS environment
+variable and defaults to 1.
 """
 
 from __future__ import annotations
@@ -43,37 +45,32 @@ def worker_count() -> int:
     return max(1, n)
 
 
-def chunk_layout(replicas: int, chunk_size: int = DEFAULT_CHUNK_SIZE):
+def chunk_layout(replicas: int):
     """Split a replica count into (stream_index, size) chunks."""
     if replicas <= 0:
         raise ValueError("replicas must be positive")
-    out = []
-    start = 0
-    index = 0
-    while start < replicas:
-        size = min(chunk_size, replicas - start)
-        out.append((index, size))
-        start += size
-        index += 1
-    return out
+    starts = range(0, replicas, DEFAULT_CHUNK_SIZE)
+    return [(index, min(DEFAULT_CHUNK_SIZE, replicas - start))
+            for index, start in enumerate(starts)]
 
 
-def run_chunked(task, replicas: int, seed: int, chunk_size: int = DEFAULT_CHUNK_SIZE,
-                workers: int | None = None):
-    """Run task(generator, size) over every chunk, returning results in chunk order.
+def run_chunked(task, replicas: int, seed: int) -> np.ndarray:
+    """Run task(generator, size) over every chunk; join the results along axis 0.
 
-    The task must be a pure function of its generator and size; workers only
-    change wall time, never the combined result.
+    The task must be a pure function of its generator and size, returning an
+    array whose first axis has one entry per replica (or per kept replica);
+    workers only change wall time, never the joined result.
     """
-    layout = chunk_layout(replicas, chunk_size)
-    if workers is None:
-        workers = worker_count()
+    layout = chunk_layout(replicas)
+    workers = worker_count()
 
     def _one(entry):
         index, size = entry
         return task(RngStream(seed, index).generator(), size)
 
     if workers <= 1 or len(layout) == 1:
-        return [_one(entry) for entry in layout]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_one, layout))
+        parts = [_one(entry) for entry in layout]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_one, layout))
+    return np.concatenate(parts)

@@ -22,6 +22,11 @@ estimation must realize populations jointly with survival, so it is always
 particle based; in regimes where unconditioned survival is too rare to hit,
 walkers that die are resampled from the live ones, which keeps the empirical
 law aimed at the same conditional target at O(1/walkers) bias.
+
+Every replica estimator hands its work to rng.run_chunked, which splits it
+into chunks of a fixed 4096 replicas, one stream per chunk.  The chunk size
+is part of the seed contract, and the SIBDEP_WORKERS environment variable is
+the only worker setting, so seeded results never depend on the worker count.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import numpy as np
 from .env_model import Environment, EnvironmentEnsemble
 from .errors import InsufficientSurvivorsError, PopulationCapError
 from .records import Record
-from .rng import DEFAULT_CHUNK_SIZE, run_chunked
+from .rng import run_chunked
 
 POPULATION_CAP = 1_000_000_000
 INT64_MAX = 2 ** 63 - 1
@@ -132,9 +137,13 @@ def _advance_batch(counts, member_idx, tables, gen, generation, cap=POPULATION_C
     return new
 
 
-def _initial_counts(order: int, initial_type: int, replicas: int) -> np.ndarray:
+def _check_initial_type(order: int, initial_type: int) -> None:
     if not 1 <= initial_type <= order:
         raise ValueError(f"initial type {initial_type} outside 1..{order}")
+
+
+def _initial_counts(order: int, initial_type: int, replicas: int) -> np.ndarray:
+    _check_initial_type(order, initial_type)
     counts = np.zeros((replicas, order), dtype=np.int64)
     counts[:, initial_type - 1] = 1
     return counts
@@ -263,8 +272,7 @@ def quenched_survival(env_seq: Sequence[Environment], initial_type: int) -> floa
     if not envs:
         raise ValueError("need at least one environment")
     order = envs[0].order
-    if not 1 <= initial_type <= order:
-        raise ValueError(f"initial type {initial_type} outside 1..{order}")
+    _check_initial_type(order, initial_type)
     s = np.zeros(order)
     for env in reversed(envs):
         s = env.phi_vector(s)
@@ -300,9 +308,7 @@ def _summarize(values: np.ndarray, horizon, initial_type, method) -> SurvivalEst
 
 def estimate_survival(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
                       replicas: int = 10_000, seed: int = 0,
-                      method: str = "quenched",
-                      chunk_size: int = DEFAULT_CHUNK_SIZE,
-                      workers: int | None = None) -> SurvivalEstimate:
+                      method: str = "quenched") -> SurvivalEstimate:
     """Annealed survival probability at the given horizon.
 
     The quenched method samples environment sequences only and scores each
@@ -315,6 +321,7 @@ def estimate_survival(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
         raise ValueError("horizon must be at least 1")
     if method not in ("quenched", "particle"):
         raise ValueError(f"unknown method {method!r}")
+    _check_initial_type(ens.order, initial_type)
 
     if method == "quenched":
         def task(gen, size):
@@ -328,9 +335,7 @@ def estimate_survival(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
             return alive
         tag = "particle-mc"
 
-    values = np.concatenate(run_chunked(task, replicas, seed,
-                                        chunk_size=chunk_size, workers=workers))
-    return _summarize(values, horizon, initial_type, tag)
+    return _summarize(run_chunked(task, replicas, seed), horizon, initial_type, tag)
 
 
 @dataclass(frozen=True)
@@ -343,9 +348,7 @@ class ScanRow(Record):
 
 def survival_scaling_scan(ens: EnvironmentEnsemble, initial_type: int,
                           horizons: Sequence[int], replicas: int = 10_000,
-                          alpha: float = 2.0, seed: int = 0,
-                          chunk_size: int = DEFAULT_CHUNK_SIZE,
-                          workers: int | None = None) -> tuple[ScanRow, ...]:
+                          alpha: float = 2.0, seed: int = 0) -> tuple[ScanRow, ...]:
     """Quenched survival across horizons with the scaling column attached.
 
     Every horizon reuses prefixes of one set of sampled environment
@@ -359,6 +362,7 @@ def survival_scaling_scan(ens: EnvironmentEnsemble, initial_type: int,
         raise ValueError("replicas >= 2 required")
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
+    _check_initial_type(ens.order, initial_type)
     longest = hs[-1]
 
     def task(gen, size):
@@ -366,8 +370,7 @@ def survival_scaling_scan(ens: EnvironmentEnsemble, initial_type: int,
         return np.stack([_quenched_survival_rows(ens, idx[:, :h], initial_type)
                          for h in hs], axis=1)
 
-    values = np.concatenate(run_chunked(task, replicas, seed,
-                                        chunk_size=chunk_size, workers=workers))
+    values = run_chunked(task, replicas, seed)
     rows = []
     for j, h in enumerate(hs):
         est = _summarize(values[:, j], h, initial_type, "quenched-exact")
@@ -411,8 +414,7 @@ def total_variation_distance(a: ConditionalSizeDistribution,
     return 0.5 * float(np.abs(pa - pb).sum())
 
 
-def _survivor_sizes(ens, initial_type, horizon, replicas, seed, resample,
-                    chunk_size, workers):
+def _survivor_sizes(ens, initial_type, horizon, replicas, seed, resample):
     """Individual counts at the horizon of the replicas alive there.
 
     With resample, each generation replaces dead walkers by copies of live
@@ -442,16 +444,13 @@ def _survivor_sizes(ens, initial_type, horizon, replicas, seed, resample,
                              step=refill if resample else None)
         return counts @ type_sizes
 
-    return np.concatenate(run_chunked(task, replicas, seed,
-                                      chunk_size=chunk_size, workers=workers))
+    return run_chunked(task, replicas, seed)
 
 
 def conditional_size_distribution(ens: EnvironmentEnsemble, initial_type: int,
                                   horizon: int, replicas: int = 20_000,
                                   seed: int = 0, method: str = "auto",
-                                  s_grid: np.ndarray | None = None,
-                                  chunk_size: int = DEFAULT_CHUNK_SIZE,
-                                  workers: int | None = None
+                                  s_grid: np.ndarray | None = None
                                   ) -> ConditionalSizeDistribution:
     """Law of the individual count at the horizon given it is positive.
 
@@ -470,13 +469,12 @@ def conditional_size_distribution(ens: EnvironmentEnsemble, initial_type: int,
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
         probe = estimate_survival(ens, initial_type, horizon,
-                                  replicas=min(replicas, 2048), seed=seed,
-                                  chunk_size=chunk_size, workers=workers)
+                                  replicas=min(replicas, 2048), seed=seed)
         expected = probe.value * replicas
         method = "direct" if expected >= 10 * MIN_SURVIVORS else "resample"
 
     sizes = _survivor_sizes(ens, initial_type, horizon, replicas, seed,
-                            method == "resample", chunk_size, workers)
+                            method == "resample")
     if method == "direct" and sizes.shape[0] < MIN_SURVIVORS:
         raise InsufficientSurvivorsError(
             f"{sizes.shape[0]} survivors out of {replicas} replicas; "
@@ -536,9 +534,7 @@ class PathEnsemble:
 def log_population_path(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
                         replicas: int = 20_000, alpha: float = 2.0, seed: int = 0,
                         scale_sequence: Callable[[int], float] | None = None,
-                        cap: int = POPULATION_CAP,
-                        chunk_size: int = DEFAULT_CHUNK_SIZE,
-                        workers: int | None = None) -> PathEnsemble:
+                        cap: int = POPULATION_CAP) -> PathEnsemble:
     """Normalized log individual counts along surviving replicas.
 
     A replica survives when its population at the horizon is positive, in
@@ -576,8 +572,7 @@ def log_population_path(ens: EnvironmentEnsemble, initial_type: int, horizon: in
             logs[:, t] = values[rows.searchsorted(survivors)]
         return logs * scale
 
-    values = np.concatenate(run_chunked(task, replicas, seed,
-                                        chunk_size=chunk_size, workers=workers))
+    values = run_chunked(task, replicas, seed)
     if values.shape[0] == 0:
         raise InsufficientSurvivorsError(
             f"no replica of {replicas} survived to generation {horizon}",

@@ -5,8 +5,10 @@ the log of the scale grows and overflow never occurs.  Throughout, |m| is the
 entrywise absolute sum of a matrix; factors must be nonnegative, so the norm
 of a product is also 1' m 1.  Estimator horizons follow the product
 index: horizon n covers the product of n + 1 independently drawn factors and
-growth is normalized by 1/n.  Replica work is chunked (see rng module) so
-results do not depend on the worker count.
+growth is normalized by 1/n.  Replica work runs through rng.run_chunked in
+chunks of a fixed 4096 replicas, one stream per chunk, so seeded results do
+not depend on the worker count, which only the SIBDEP_WORKERS environment
+variable sets.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .env_model import Environment, EnvironmentEnsemble
 from .errors import (CalibrationError, DegenerateEnvironmentError,
                      DegenerateProductError)
 from .records import Record
-from .rng import DEFAULT_CHUNK_SIZE, RngStream, run_chunked
+from .rng import RngStream, run_chunked
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,7 @@ def _indexed_log_norms(mats: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return logs
 
 
-def _sampled_log_norms(source, horizon, replicas, seed, use_macro, chunk_size, workers):
+def _sampled_log_norms(source, horizon, replicas, seed, use_macro):
     me = _as_matrix_ensemble(source, macro=use_macro)
     factors = horizon + 1
 
@@ -184,8 +186,7 @@ def _sampled_log_norms(source, horizon, replicas, seed, use_macro, chunk_size, w
         idx = gen.choice(me.size, size=(size, factors), p=me.weights)
         return _indexed_log_norms(me.matrices, idx)
 
-    parts = run_chunked(task, replicas, seed, chunk_size=chunk_size, workers=workers)
-    return np.concatenate(parts)
+    return run_chunked(task, replicas, seed)
 
 
 @dataclass(frozen=True)
@@ -199,13 +200,11 @@ class GrowthEstimate(Record):
 
 
 def estimate_lyapunov(source, horizon: int = 512, replicas: int = 256, seed: int = 0,
-                      use_macro: bool = False, chunk_size: int = DEFAULT_CHUNK_SIZE,
-                      workers: int | None = None) -> GrowthEstimate:
+                      use_macro: bool = False) -> GrowthEstimate:
     """Average per-step log growth of the random product over many replicas."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    logs = _sampled_log_norms(source, horizon, replicas, seed, use_macro,
-                              chunk_size, workers)
+    logs = _sampled_log_norms(source, horizon, replicas, seed, use_macro)
     per = logs / horizon
     stderr = float(per.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
     return GrowthEstimate(value=float(per.mean()), stderr=stderr,
@@ -232,9 +231,7 @@ def _log_mean_exp(values: np.ndarray):
 
 def estimate_lambda_theta(source, theta: float, horizon: int = 512,
                           replicas: int = 256, seed: int = 0,
-                          use_macro: bool = False,
-                          chunk_size: int = DEFAULT_CHUNK_SIZE,
-                          workers: int | None = None) -> MomentGrowthEstimate:
+                          use_macro: bool = False) -> MomentGrowthEstimate:
     """Estimate the growth rate of E |product|^theta.
 
     The replica average of |R|^theta is formed in log space with a max shift,
@@ -244,8 +241,7 @@ def estimate_lambda_theta(source, theta: float, horizon: int = 512,
         raise ValueError("theta must be positive")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    logs = _sampled_log_norms(source, horizon, replicas, seed, use_macro,
-                              chunk_size, workers)
+    logs = _sampled_log_norms(source, horizon, replicas, seed, use_macro)
     lme, z = _log_mean_exp(theta * logs)
     log_value = lme / horizon
     value = math.exp(log_value)
@@ -269,9 +265,7 @@ class DerivativeEstimate(Record):
 
 def lambda_prime_at_one(source, step: float = 0.1, horizon: int = 512,
                         replicas: int = 256, seed: int = 0,
-                        use_macro: bool = False,
-                        chunk_size: int = DEFAULT_CHUNK_SIZE,
-                        workers: int | None = None) -> DerivativeEstimate:
+                        use_macro: bool = False) -> DerivativeEstimate:
     """Central difference of the log moment growth rate at exponent 1.
 
     Both endpoints are evaluated on the same replica sample, so the shared
@@ -282,8 +276,7 @@ def lambda_prime_at_one(source, step: float = 0.1, horizon: int = 512,
         raise ValueError("step must lie in (0, 1) so both exponents stay positive")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    logs = _sampled_log_norms(source, horizon, replicas, seed, use_macro,
-                              chunk_size, workers)
+    logs = _sampled_log_norms(source, horizon, replicas, seed, use_macro)
     n = logs.shape[0]
     scale = 2.0 * step * horizon
 
@@ -362,6 +355,26 @@ def _quiet_perron(mat):
         return mo.perron(mat)
 
 
+# one description per condition id; mean_norm_moment's is filled with theta
+_CONDITION_DESCRIPTIONS = {
+    "mean_norm_moment": "E|M|^theta finite at theta={theta}",
+    "support_irreducible": "support has no invariant finite union of proper subspaces",
+    "entry_ratio_bounded": "entry ratios within each mean matrix are uniformly bounded",
+    "zero_growth": "top log growth rate of the random product is zero",
+    "uniform_expansion_event":
+        "some environment expands every direction by a fixed factor",
+    "inverse_norm_moment": "expected inverse growth is bounded over all directions",
+    "curvature_ratio_moment": "second-order mass ratio has finite moments",
+    "log_curvature_moment": "log second-order ratio has finite moments",
+    "shared_eigenvector": "all members act on one common positive eigenvector",
+    "reproduction_spread":
+        "every environment gives some member a chance of two or more children",
+    "log_root_attraction": "log dominant root is attracted to a two-sided stable law",
+    "variance_tail_moment":
+        "child-group count variances have the required tail moment",
+}
+
+
 def check_conditions(ens: EnvironmentEnsemble,
                      params: ConditionParams | None = None) -> ConditionReport:
     """Evaluate every structural condition the survival theory rests on.
@@ -379,31 +392,24 @@ def check_conditions(ens: EnvironmentEnsemble,
     rhos = np.array([pr.value for pr in perrons])
     checks: list[ConditionCheck] = []
 
+    def check(check_id, holds, values, note=""):
+        description = _CONDITION_DESCRIPTIONS[check_id].format(theta=p.theta)
+        checks.append(ConditionCheck(check_id, description, holds, values, note))
+
     # finite theta-moment of the mean matrix norm
     moment = float(np.dot(w, norms ** p.theta))
-    checks.append(ConditionCheck(
-        "mean_norm_moment",
-        f"E|M|^theta finite at theta={p.theta}",
-        True, {"value": moment, "member_norms": norms.tolist()},
-        "finite mixtures always satisfy this",
-    ))
+    check("mean_norm_moment", True,
+          {"value": moment, "member_norms": norms.tolist()},
+          "finite mixtures always satisfy this")
 
     # strong irreducibility of the support action, by positivity proxy
     all_positive = all(np.all(m > 0.0) for m in mats)
     if not all_positive:
-        checks.append(ConditionCheck(
-            "support_irreducible",
-            "support has no invariant finite union of proper subspaces",
-            None, {},
-            "zero entries present; the positivity proxy cannot decide",
-        ))
+        check("support_irreducible", None, {},
+              "zero entries present; the positivity proxy cannot decide")
     elif len(members) == 1:
-        checks.append(ConditionCheck(
-            "support_irreducible",
-            "support has no invariant finite union of proper subspaces",
-            False, {},
-            "single-member support: its dominant eigendirection spans an invariant line",
-        ))
+        check("support_irreducible", False, {},
+              "single-member support: its dominant eigendirection spans an invariant line")
     else:
         spread = 0.0
         for a in range(len(perrons)):
@@ -411,35 +417,20 @@ def check_conditions(ens: EnvironmentEnsemble,
                 spread = max(spread, float(np.max(np.abs(
                     perrons[a].vector - perrons[b].vector))))
         if spread > 1e-10:
-            checks.append(ConditionCheck(
-                "support_irreducible",
-                "support has no invariant finite union of proper subspaces",
-                True, {"direction_spread": spread},
-                "all members positive with distinct dominant directions",
-            ))
+            check("support_irreducible", True, {"direction_spread": spread},
+                  "all members positive with distinct dominant directions")
         else:
-            checks.append(ConditionCheck(
-                "support_irreducible",
-                "support has no invariant finite union of proper subspaces",
-                False, {"direction_spread": spread},
-                "members share one eigendirection, which spans an invariant line",
-            ))
+            check("support_irreducible", False, {"direction_spread": spread},
+                  "members share one eigendirection, which spans an invariant line")
 
     # uniformly bounded entry ratios within each realized matrix
     if all_positive:
         ratios = [float(m.max() / m.min()) for m in mats]
-        checks.append(ConditionCheck(
-            "entry_ratio_bounded",
-            "entry ratios within each mean matrix are uniformly bounded",
-            True, {"gamma": max(ratios), "member_ratios": ratios},
-        ))
+        check("entry_ratio_bounded", True,
+              {"gamma": max(ratios), "member_ratios": ratios})
     else:
-        checks.append(ConditionCheck(
-            "entry_ratio_bounded",
-            "entry ratios within each mean matrix are uniformly bounded",
-            False, {},
-            "a zero entry makes the ratio bound infinite",
-        ))
+        check("entry_ratio_bounded", False, {},
+              "a zero entry makes the ratio bound infinite")
 
     # criticality of the top growth rate; the norm of a product of members
     # sharing the eigenvector 1 is N times the product of their roots, so the
@@ -448,13 +439,9 @@ def check_conditions(ens: EnvironmentEnsemble,
                                seed=p.seed)
     offset = math.log(ens.order) / p.horizon
     band = 3.0 * growth.stderr + p.growth_floor + offset
-    checks.append(ConditionCheck(
-        "zero_growth",
-        "top log growth rate of the random product is zero",
-        bool(abs(growth.value) <= band),
-        {"estimate": growth.value, "stderr": growth.stderr, "offset": offset,
-         "band": band},
-    ))
+    check("zero_growth", bool(abs(growth.value) <= band),
+          {"estimate": growth.value, "stderr": growth.stderr, "offset": offset,
+           "band": band})
 
     # positive chance of uniform expansion across all directions
     min_rows = np.array([float(r.min()) for r in row_sums])
@@ -468,14 +455,10 @@ def check_conditions(ens: EnvironmentEnsemble,
         holds = best >= math.exp(p.delta)
         delta_val = p.delta
         note = "threshold supplied by caller"
-    checks.append(ConditionCheck(
-        "uniform_expansion_event",
-        "some environment expands every direction by a fixed factor",
-        bool(holds),
-        {"delta": delta_val, "member_min_row_sums": min_rows.tolist(),
-         "witness_member": witness},
-        note,
-    ))
+    check("uniform_expansion_event", bool(holds),
+          {"delta": delta_val, "member_min_row_sums": min_rows.tolist(),
+           "witness_member": witness},
+          note)
 
     # sup over directions of E[1 / |xM|]; linear in x so vertices decide
     if np.all(np.concatenate(row_sums) > 0.0):
@@ -483,53 +466,31 @@ def check_conditions(ens: EnvironmentEnsemble,
             float(np.dot(w, [1.0 / r[i] for r in row_sums]))
             for i in range(ens.order)
         ])
-        checks.append(ConditionCheck(
-            "inverse_norm_moment",
-            "expected inverse growth is bounded over all directions",
-            True, {"value": float(per_dir.max()),
-                   "argmax_direction": int(per_dir.argmax()),
-                   "per_direction": per_dir.tolist()},
-        ))
+        check("inverse_norm_moment", True,
+              {"value": float(per_dir.max()),
+               "argmax_direction": int(per_dir.argmax()),
+               "per_direction": per_dir.tolist()})
     else:
-        checks.append(ConditionCheck(
-            "inverse_norm_moment",
-            "expected inverse growth is bounded over all directions",
-            False, {},
-            "a zero row sum makes the inverse moment infinite",
-        ))
+        check("inverse_norm_moment", False, {},
+              "a zero row sum makes the inverse moment infinite")
 
     # curvature ratio moments
     try:
         curv = np.array([mo.curvature_stats(env).ratio for env in members])
     except DegenerateEnvironmentError as exc:
-        checks.append(ConditionCheck(
-            "curvature_ratio_moment", "second-order mass ratio has finite moments",
-            False, {}, str(exc)))
-        checks.append(ConditionCheck(
-            "log_curvature_moment", "log second-order ratio has finite moments",
-            False, {}, str(exc)))
+        check("curvature_ratio_moment", False, {}, str(exc))
+        check("log_curvature_moment", False, {}, str(exc))
     else:
-        checks.append(ConditionCheck(
-            "curvature_ratio_moment",
-            "second-order mass ratio has finite moments",
-            True,
-            {"value": float(np.dot(w, curv ** (1.0 + p.eps))),
-             "member_ratios": curv.tolist()},
-        ))
+        check("curvature_ratio_moment", True,
+              {"value": float(np.dot(w, curv ** (1.0 + p.eps))),
+               "member_ratios": curv.tolist()})
         if np.any(curv == 0.0):
-            checks.append(ConditionCheck(
-                "log_curvature_moment",
-                "log second-order ratio has finite moments",
-                False, {"member_ratios": curv.tolist()},
-                "a member has no second-order mass, so the log diverges",
-            ))
+            check("log_curvature_moment", False, {"member_ratios": curv.tolist()},
+                  "a member has no second-order mass, so the log diverges")
         else:
             val = float(np.dot(w, np.abs(np.log(curv)) ** (1.0 + p.eps) * norms))
-            checks.append(ConditionCheck(
-                "log_curvature_moment",
-                "log second-order ratio has finite moments",
-                True, {"value": val, "member_ratios": curv.tolist()},
-            ))
+            check("log_curvature_moment", True,
+                  {"value": val, "member_ratios": curv.tolist()})
 
     # shared right eigenvector across the support
     if all_positive:
@@ -537,19 +498,11 @@ def check_conditions(ens: EnvironmentEnsemble,
         residuals = [float(np.max(np.abs(m @ u - rho * u)))
                      for m, rho in zip(mats, rhos)]
         worst = max(residuals)
-        checks.append(ConditionCheck(
-            "shared_eigenvector",
-            "all members act on one common positive eigenvector",
-            bool(worst <= p.eig_tol),
-            {"residual": worst, "member_residuals": residuals,
-             "candidate": u.tolist()},
-        ))
+        check("shared_eigenvector", bool(worst <= p.eig_tol),
+              {"residual": worst, "member_residuals": residuals,
+               "candidate": u.tolist()})
     else:
-        checks.append(ConditionCheck(
-            "shared_eigenvector",
-            "all members act on one common positive eigenvector",
-            False, {}, "mean matrices must be positive",
-        ))
+        check("shared_eigenvector", False, {}, "mean matrices must be positive")
 
     # reproduction is not confined to at most one child
     caps = np.array([
@@ -557,21 +510,13 @@ def check_conditions(ens: EnvironmentEnsemble,
                   for i in range(1, env.order + 1)))
         for env in members
     ])
-    checks.append(ConditionCheck(
-        "reproduction_spread",
-        "every environment gives some member a chance of two or more children",
-        bool(caps.max() < 1.0),
-        {"worst": float(caps.max()), "member_values": caps.tolist()},
-    ))
+    check("reproduction_spread", bool(caps.max() < 1.0),
+          {"worst": float(caps.max()), "member_values": caps.tolist()})
 
     # log dominant root: drift and spread
     log_rho = np.log(rhos) if np.all(rhos > 0.0) else None
     if log_rho is None:
-        checks.append(ConditionCheck(
-            "log_root_attraction",
-            "log dominant root is attracted to a two-sided stable law",
-            False, {}, "a member has dominant root zero",
-        ))
+        check("log_root_attraction", False, {}, "a member has dominant root zero")
         mean_x = var_x = None
     else:
         mean_x = float(np.dot(w, log_rho))
@@ -584,34 +529,23 @@ def check_conditions(ens: EnvironmentEnsemble,
         else:
             holds, note = False, ("nonzero drift is incompatible with "
                                   "uncentered attraction for bounded variables")
-        checks.append(ConditionCheck(
-            "log_root_attraction",
-            "log dominant root is attracted to a two-sided stable law",
-            holds,
-            {"mean": mean_x, "variance": var_x, "alpha": p.alpha,
-             "member_log_roots": log_rho.tolist()},
-            note,
-        ))
+        check("log_root_attraction", holds,
+              {"mean": mean_x, "variance": var_x, "alpha": p.alpha,
+               "member_log_roots": log_rho.tolist()},
+              note)
 
     # tail moment of the child-group count variance
     deltas = np.array([mo.delta_max(env) for env in members])
     if np.any((rhos == 0.0) & (deltas > 0.0)):
-        checks.append(ConditionCheck(
-            "variance_tail_moment",
-            "child-group count variances have the required tail moment",
-            False, {"member_deltas": deltas.tolist()},
-            "a member has dominant root zero with positive variance",
-        ))
+        check("variance_tail_moment", False, {"member_deltas": deltas.tolist()},
+              "a member has dominant root zero with positive variance")
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             scaled = np.where(deltas > 0.0, deltas / rhos ** 2, 0.0)
             logplus = np.where(scaled > 1.0, np.log(scaled), 0.0)
         val = float(np.dot(w, logplus ** (p.alpha + p.eps)))
-        checks.append(ConditionCheck(
-            "variance_tail_moment",
-            "child-group count variances have the required tail moment",
-            True, {"value": val, "member_deltas": deltas.tolist()},
-        ))
+        check("variance_tail_moment", True,
+              {"value": val, "member_deltas": deltas.tolist()})
 
     return ConditionReport(checks=tuple(checks), params=p)
 
@@ -641,6 +575,10 @@ def calibrate_critical_pair(mat_super: np.ndarray, mat_sub: np.ndarray,
     weight and bisection converges cleanly.  Runs as one batch; the worker
     count never affects the outcome.
     """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if replicas < 1:
+        raise ValueError("replicas must be positive")
     mats = np.stack([np.asarray(mat_sub, dtype=float),
                      np.asarray(mat_super, dtype=float)])
     if mats.shape[1] != mats.shape[2]:

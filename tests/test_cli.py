@@ -231,6 +231,41 @@ def test_survival_rejects_replica_floor(capsys):
     assert err["message"] == "replicas >= 2 required"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("survival", "--initial-type", "0"), "initial type 0 outside 1..2"),
+    (("survival", "--initial-type", "3"), "initial type 3 outside 1..2"),
+    (("scan", "--initial-type", "0"), "initial type 0 outside 1..2"),
+    (("scan", "--initial-type", "3"), "initial type 3 outside 1..2"),
+    (("calibrate", "--horizon", "0"), "horizon must be at least 1"),
+    (("calibrate", "--horizon", "-3"), "horizon must be at least 1"),
+    (("calibrate", "--replicas", "0"), "replicas must be positive"),
+])
+def test_out_of_range_inputs_are_typed_errors(capsys, tmp_path, argv, message):
+    config = "preset:boom_bust" if argv[0] == "calibrate" else "preset:critical"
+    rc, out = run_cli(capsys, *argv, "--config", config, "--out", str(tmp_path))
+    assert rc == 1
+    assert json.loads(out) == {"error": {"type": "ValueError", "message": message}}
+    assert not tmp_path.joinpath("manifest.json").exists()
+
+
+def test_results_ignore_worker_count_end_to_end(capsys, tmp_path, monkeypatch):
+    # more replicas than one 4096-replica chunk, so two workers share the work
+    runs = {
+        "scan": ("scan", "--config", "preset:critical", "--horizons", "4,8",
+                 "--replicas", "5000"),
+        "paths": ("paths", "--config", "preset:supercritical", "--horizon", "8",
+                  "--replicas", "5000"),
+    }
+    for command, argv in runs.items():
+        one, two = tmp_path / command / "unset", tmp_path / command / "two"
+        monkeypatch.delenv("SIBDEP_WORKERS", raising=False)
+        assert run_cli(capsys, *argv, "--out", str(one))[0] == 0
+        monkeypatch.setenv("SIBDEP_WORKERS", "2")
+        assert run_cli(capsys, *argv, "--out", str(two))[0] == 0
+        for name in (f"{command}.json", f"{command}.csv"):
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
 def test_paths_rejects_cap_past_int64(capsys):
     rc, out = run_cli(capsys, "paths", "--config", "preset:supercritical",
                       "--cap", "9223372036854775807")

@@ -14,21 +14,25 @@ def test_streams_reproduce_and_separate():
 
 
 def test_chunk_layout_partitions_exactly():
-    layout = chunk_layout(10_000, 4096)
+    layout = chunk_layout(10_000)
     assert layout == [(0, 4096), (1, 4096), (2, 1808)]
-    assert chunk_layout(1, 4096) == [(0, 1)]
+    assert chunk_layout(1) == [(0, 1)]
     with pytest.raises(ValueError):
         chunk_layout(0)
 
 
-def test_run_chunked_result_independent_of_workers():
+def test_run_chunked_result_independent_of_workers(monkeypatch):
     def task(gen, size):
-        return gen.standard_normal(size).sum()
+        return np.full(size, gen.standard_normal())
 
-    one = run_chunked(task, 9000, seed=3, chunk_size=1000, workers=1)
-    four = run_chunked(task, 9000, seed=3, chunk_size=1000, workers=4)
-    assert one == four
-    assert len(one) == 9
+    monkeypatch.delenv("SIBDEP_WORKERS", raising=False)
+    one = run_chunked(task, 9000, seed=3)
+    monkeypatch.setenv("SIBDEP_WORKERS", "4")
+    four = run_chunked(task, 9000, seed=3)
+    np.testing.assert_array_equal(one, four)
+    # chunk k draws from stream (3, k); results are joined in chunk order
+    draws = [RngStream(3, k).generator().standard_normal() for k in range(3)]
+    np.testing.assert_array_equal(one, np.repeat(draws, [4096, 4096, 808]))
 
 
 def test_worker_count_reads_environment(monkeypatch):

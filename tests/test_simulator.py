@@ -1,6 +1,8 @@
 """Trajectory simulation, survival estimators, conditional laws, paths."""
 import math
+import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -322,6 +324,24 @@ def test_quenched_survival_hand_values(rich, lean):
         quenched_survival([rich], 3)
 
 
+@pytest.mark.parametrize("itype", [0, 3, -1])
+def test_out_of_range_initial_type_fails_before_any_draw(ab_equal, monkeypatch,
+                                                         itype):
+    def no_draws(*args):
+        raise AssertionError("the type check must come before any draw")
+
+    monkeypatch.setattr("sibdep.simulator.run_chunked", no_draws)
+    calls = [
+        lambda: quenched_survival(ab_equal.members, itype),
+        lambda: estimate_survival(ab_equal, itype, 4, 64),
+        lambda: estimate_survival(ab_equal, itype, 4, 64, method="particle"),
+        lambda: survival_scaling_scan(ab_equal, itype, [2, 4], 64),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^initial type {itype} outside 1\.\.2$"):
+            call()
+
+
 def test_estimate_survival_single_member_has_no_noise(rich, rich_only):
     est = estimate_survival(rich_only, 1, 4, replicas=64, seed=0)
     # identical replica scores; the mean's own rounding bounds the spread
@@ -384,16 +404,24 @@ def test_quenched_rows_never_increase_with_the_horizon(seed, order, size, rows,
     assert np.all(values[:, 1:] <= values[:, :-1])
 
 
-@settings(max_examples=10, deadline=None)
-@given(chunk_size=st.integers(50, 900))
-def test_quenched_results_ignore_worker_count(ab_equal, chunk_size):
-    def runs(workers):
-        common = {"replicas": 900, "chunk_size": chunk_size, "workers": workers}
-        return [estimate_survival(ab_equal, 1, 6, seed=1, **common).to_dict(),
-                [r.to_dict() for r in survival_scaling_scan(ab_equal, 2, [3, 6, 12],
-                                                            seed=2, **common)]]
+def with_workers(workers, call):
+    with mock.patch.dict(os.environ, {"SIBDEP_WORKERS": str(workers)}):
+        return call()
 
-    assert runs(2) == runs(1)
+
+# more than one 4096-replica chunk, the last one usually partial
+MULTI_CHUNK = st.integers(4097, 9000)
+
+
+@settings(max_examples=10, deadline=None)
+@given(replicas=MULTI_CHUNK)
+def test_quenched_results_ignore_worker_count(ab_equal, replicas):
+    def runs():
+        return [estimate_survival(ab_equal, 1, 6, replicas, seed=1).to_dict(),
+                [r.to_dict() for r in survival_scaling_scan(
+                    ab_equal, 2, [3, 6, 12], replicas, seed=2)]]
+
+    assert with_workers(2, runs) == with_workers(1, runs)
 
 
 @settings(max_examples=30, deadline=None)
@@ -516,10 +544,10 @@ def test_path_ensemble_structure(ab_equal):
 
 
 def test_path_results_ignore_worker_count(ab_equal):
-    one = log_population_path(ab_equal, 1, 12, replicas=1500, seed=4,
-                              chunk_size=512, workers=1)
-    three = log_population_path(ab_equal, 1, 12, replicas=1500, seed=4,
-                                chunk_size=512, workers=3)
+    def run():
+        return log_population_path(ab_equal, 1, 12, replicas=9000, seed=4)
+
+    one, three = with_workers(1, run), with_workers(3, run)
     np.testing.assert_array_equal(one.endpoints, three.endpoints)
 
 
@@ -542,8 +570,7 @@ def test_path_memory_follows_live_rows():
     ens = load_preset("critical")
     tracemalloc.start()
     try:
-        log_population_path(ens, 1, 512, replicas=4096, seed=0, cap=10 ** 15,
-                            chunk_size=4096, workers=1)
+        log_population_path(ens, 1, 512, replicas=4096, seed=0, cap=10 ** 15)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -579,22 +606,21 @@ def _outcome(call):
 
 
 @settings(max_examples=10, deadline=None)
-@given(chunk_size=st.integers(50, 900), workers=st.sampled_from([1, 2]))
-def test_particle_results_ignore_worker_count(ab_equal, chunk_size, workers):
-    def runs(w):
-        common = {"replicas": 900, "chunk_size": chunk_size, "workers": w}
+@given(replicas=MULTI_CHUNK, workers=st.sampled_from([1, 2]))
+def test_particle_results_ignore_worker_count(ab_equal, replicas, workers):
+    def runs():
         return [
-            _outcome(lambda: estimate_survival(ab_equal, 1, 6, seed=1,
-                                               method="particle", **common)),
+            _outcome(lambda: estimate_survival(ab_equal, 1, 6, replicas, seed=1,
+                                               method="particle")),
             _outcome(lambda: conditional_size_distribution(
-                ab_equal, 1, 4, seed=2, method="direct", **common).to_dict()),
+                ab_equal, 1, 4, replicas, seed=2, method="direct").to_dict()),
             _outcome(lambda: conditional_size_distribution(
-                ab_equal, 1, 6, seed=3, method="resample", **common).to_dict()),
-            _outcome(lambda: log_population_path(ab_equal, 2, 8, seed=4,
-                                                 **common).values.tolist()),
+                ab_equal, 1, 6, replicas, seed=3, method="resample").to_dict()),
+            _outcome(lambda: log_population_path(ab_equal, 2, 8, replicas,
+                                                 seed=4).values.tolist()),
         ]
 
-    assert runs(workers) == runs(1)
+    assert with_workers(workers, runs) == with_workers(1, runs)
 
 
 def test_doubling_horizon_keeps_endpoint_median_stable():

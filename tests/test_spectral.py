@@ -289,6 +289,16 @@ def test_calibration_on_boom_bust_preset():
     assert d["weight"] == res.weight and len(d["trace"]) == len(res.trace)
 
 
+@pytest.mark.parametrize("sample, message", [
+    ({"horizon": 0}, "horizon must be at least 1"),
+    ({"horizon": -3}, "horizon must be at least 1"),
+    ({"replicas": 0}, "replicas must be positive"),
+])
+def test_calibration_rejects_empty_samples(sample, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        calibrate_critical_pair(2.0 * np.eye(2), 0.5 * np.eye(2), **sample)
+
+
 def test_calibration_matrix_validation():
     with pytest.raises(ValueError, match="square"):
         calibrate_critical_pair(np.ones((2, 3)), np.ones((2, 3)))
