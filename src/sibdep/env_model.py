@@ -410,6 +410,17 @@ class Environment:
 
 
 @dataclass(frozen=True)
+class ParticleTable:
+    """Per-law particle data; law m * N + i - 1 is member m's size-i law."""
+
+    weights: tuple[np.ndarray, ...]
+    spans: tuple[slice, ...]         # per law: its atom rows in child_counts
+    child_counts: np.ndarray         # (atoms, N), every law's rows stacked
+    coupled: tuple[np.ndarray, ...]  # per law: [child-group counts | sibship counts]
+    type_sizes: np.ndarray           # (N,) group size of each type
+
+
+@dataclass(frozen=True)
 class EnvironmentEnsemble:
     """Finite mixture of environments; one member is drawn per generation."""
 
@@ -463,6 +474,17 @@ class EnvironmentEnsemble:
     @cached_property
     def _phi_tables(self) -> tuple[np.ndarray, np.ndarray]:
         return _build_phi_tables(self.members)
+
+    @cached_property
+    def _particle_table(self) -> ParticleTable:
+        weights = tuple(w for env in self.members for w in env._atom_weights)
+        child = [c for env in self.members for c in env._atom_child_counts]
+        sibship = [s for env in self.members for s in env._sibship_counts]
+        ends = np.cumsum([w.shape[0] for w in weights]).tolist()
+        coupled = tuple(_frozen(np.concatenate(pair, axis=1)) for pair in zip(child, sibship))
+        return ParticleTable(weights, tuple(map(slice, [0] + ends[:-1], ends)),
+                             _frozen(np.concatenate(child)), coupled,
+                             _frozen(np.arange(1, self.order + 1)))
 
     def phi_step(self, s_rows: np.ndarray, member_idx: np.ndarray) -> np.ndarray:
         """Row r becomes members[member_idx[r]].phi_map of row r.

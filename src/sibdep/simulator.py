@@ -3,14 +3,14 @@
 Two complementary engines live here.  The particle engine advances
 group-type count vectors generation by generation with multinomial draws,
 which keeps memory independent of population size; equal-type groups are
-exchangeable, so the aggregated law is the exact process law.  It carries
-only the live replicas, as ascending row ids beside their counts, and hands
-each generation to a `step(t, rows, counts)` hook: extinct replicas make no
-draws and take no step time, and recorded paths grow with the live rows,
-not with replicas times horizon.  Single trajectories run on a loop of
-their own that bookkeeps every draw twice, by sibship sizes and by
-child-group tables, and store each route as one (horizon + 1, N) array, a
-`Trajectory`.  The quenched engine never simulates populations at all:
+exchangeable, so the aggregated law is the exact process law.  Its two
+loops read one read-only table per ensemble.  The forward driver draws a
+uniform for every replica but carries only the live rows: they alone
+search the member CDF, are advanced one block per member, and reach the
+`step(t, rows, counts, sizes)` hook.  Single trajectories bookkeep every
+draw twice, by sibship sizes and by child-group tables, in one
+(horizon + 1, 2N) array; each route is a `Trajectory`.  The quenched
+engine never simulates populations at all:
 for a fixed environment sequence it composes the offspring generating maps
 backward from the zero vector, giving extinction probabilities that are
 exact up to float rounding, and Monte Carlo enters only through the
@@ -104,37 +104,34 @@ class Trajectory:
         return MacroState(self.counts[gens], gens)
 
 
-def _member_tables(ens: EnvironmentEnsemble):
-    """Per member and type: atom weights and child-group counts.
+def _advance_batch(counts, member_idx, table, gen, generation, cap=POPULATION_CAP):
+    """One generation for a batch of replicas; returns the new counts and sizes.
 
-    Views of the tables each Environment caches at construction.
+    One multinomial call per member and type, over that member's block of a
+    stable sort: the seed contract fixes member -> type -> ascending row.
     """
-    return [list(zip(env._atom_weights, env._atom_child_counts)) for env in ens.members]
-
-
-def _advance_batch(counts, member_idx, tables, gen, generation, cap=POPULATION_CAP):
-    """One generation for a batch of replicas; returns the new counts."""
-    new = np.zeros_like(counts)
-    for m, per_type in enumerate(tables):
-        mask = member_idx == m
-        if not mask.any():
-            continue
-        sub = counts[mask]
-        add = np.zeros_like(sub)
-        for k, (weights, child_counts) in enumerate(per_type):
-            nk = sub[:, k]
-            if not nk.any():
-                continue
-            add += gen.multinomial(nk, weights) @ child_counts
-        new[mask] = add
-    sizes = new @ np.arange(1, new.shape[1] + 1, dtype=np.int64)
-    if np.any(sizes > cap):
-        worst = int(sizes.max())
+    order = counts.shape[1]
+    members = len(table.weights) // order
+    perm = member_idx.argsort(kind="stable") if members > 1 else slice(None)
+    blocks = counts[perm]
+    ends = np.bincount(member_idx, minlength=members).cumsum().tolist()
+    draws = np.zeros((counts.shape[0], table.child_counts.shape[0]), dtype=np.int64)
+    lo = 0
+    for law, hi in zip(range(0, len(table.weights), order), ends):
+        for k in range(order):
+            draws[lo:hi, table.spans[law + k]] = gen.multinomial(
+                blocks[lo:hi, k], table.weights[law + k])
+        lo = hi
+    new = np.empty_like(counts)
+    new[perm] = draws @ table.child_counts      # back to ascending row order
+    sizes = new @ table.type_sizes
+    worst = int(sizes.max(initial=0))
+    if worst > cap:
         raise PopulationCapError(
             f"population {worst} exceeds the cap {cap} at generation {generation}",
             generation=generation, cap=cap,
         )
-    return new
+    return new, sizes
 
 
 def _check_initial_type(order: int, initial_type: int) -> None:
@@ -166,30 +163,26 @@ def _forward(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
     """The particle engine: `size` replicas, each started by one group.
 
     Carries only the live replicas: `rows` holds their ascending ids and
-    `counts` their group counts, one row each.  Every generation still draws
-    one environment index per replica, dead or alive, so the streams do not
-    depend on who died; an extinct replica makes no multinomial draw and
-    takes no step time.  `step(t, rows, counts)`, when given, sees
-    generation t's new counts of the rows that were live before it, dead
-    ones included, and may change `counts` in place; rows still empty after
-    it are dropped.  Returns the final `(rows, counts)` at the horizon, or
-    as soon as no replica is left, so no draw is made past extinction.
+    `counts` their group counts, one row each.  Every generation draws one
+    uniform per replica, dead or alive, so the streams do not depend on who
+    died, but only live rows search the member CDF or draw multinomials.
+    `step(t, rows, counts, sizes)`, when given, sees generation t's new
+    counts and individual counts of the rows live before it, dead ones
+    included, and may change both in place; rows still empty after it are
+    dropped.  Returns the final `(rows, counts)` at the horizon, or as soon
+    as no replica is left, so no draw is made past extinction.
     """
     _check_cap(ens.order, cap)
-    tables = _member_tables(ens)
-    ones = np.ones(ens.order, dtype=np.int64)
+    table = ens._particle_table
     rows = np.arange(size)
     counts = _initial_counts(ens.order, initial_type, size)
     for t in range(1, horizon + 1):
-        idx = ens.sample_index_array(size, gen)
-        if rows.shape[0] < size:
-            idx = idx[rows]
-        counts = _advance_batch(counts, idx, tables, gen, t, cap)
+        u = gen.random(size)
+        idx = ens._cdf.searchsorted(u[rows] if rows.shape[0] < size else u, side="right")
+        counts, sizes = _advance_batch(counts, idx, table, gen, t, cap)
         if step is not None:
-            step(t, rows, counts)
-        # counts are nonnegative, and a row sum by matmul is several times
-        # faster than any(axis=1) over a short axis
-        live = counts @ ones > 0
+            step(t, rows, counts, sizes)
+        live = sizes > 0
         if not live.all():
             rows, counts = rows[live], counts[live]
             if not rows.shape[0]:
@@ -230,32 +223,25 @@ def simulate_macro_coupled(ens: EnvironmentEnsemble, initial_type: int, horizon:
         raise ValueError("horizon must be nonnegative")
     order = ens.order
     _check_cap(order, cap)
-    micro_tables = [env._sibship_counts for env in ens.members]
-    macro_tables = _member_tables(ens)
-    type_sizes = np.arange(1, order + 1)
-
-    micro = np.zeros((horizon + 1, order), dtype=np.int64)
-    macro = np.zeros((horizon + 1, order), dtype=np.int64)
-    micro[0] = macro[0] = _initial_counts(order, initial_type, 1)[0]
+    table = ens._particle_table
+    # columns: the macro route, then the micro route
+    both = np.zeros((horizon + 1, 2 * order), dtype=np.int64)
+    both[0] = np.tile(_initial_counts(order, initial_type, 1)[0], 2)
     for t in range(1, horizon + 1):
-        member = ens.sample_index(rng)
-        for k, nk in enumerate(macro[t - 1].tolist()):
-            if nk == 0:
-                continue
-            weights, child_counts = macro_tables[member][k]
-            draws = rng.multinomial(nk, weights)
-            macro[t] += draws @ child_counts
-            micro[t] += draws @ micro_tables[member][k]
-        size = int(macro[t] @ type_sizes)
+        law = ens.sample_index(rng) * order
+        for k, nk in enumerate(both[t - 1, :order].tolist()):
+            if nk:
+                both[t] += rng.multinomial(nk, table.weights[law + k]) @ table.coupled[law + k]
+        size = int(both[t, :order] @ table.type_sizes)
         if size > cap:
             raise PopulationCapError(
                 f"population {size} exceeds the cap {cap} at generation {t}",
                 generation=t, cap=cap,
-                trajectory=(Trajectory(micro[:t]), Trajectory(macro[:t])),
+                trajectory=(Trajectory(both[:t, order:]), Trajectory(both[:t, :order])),
             )
         if size == 0:
             break
-    return Trajectory(micro), Trajectory(macro)
+    return Trajectory(both[:, order:]), Trajectory(both[:, :order])
 
 
 # -- exact quenched survival ------------------------------------------------
@@ -422,13 +408,11 @@ def _survivor_sizes(ens, initial_type, horizon, replicas, seed, resample):
     sample is exchangeable but not independent; the conditional-law bias
     shrinks like 1/chunk walkers.
     """
-    type_sizes = np.arange(1, ens.order + 1, dtype=np.int64)
-
     def task(gen, size):
         # refilling keeps every walker live, so the rows it sees are all
         # `size` of them and no dead walker is ever dropped
-        def refill(t, rows, counts):
-            dead = counts @ type_sizes == 0
+        def refill(t, rows, counts, sizes):
+            dead = sizes == 0
             n_dead = int(dead.sum())
             if n_dead == size:
                 raise InsufficientSurvivorsError(
@@ -437,12 +421,12 @@ def _survivor_sizes(ens, initial_type, horizon, replicas, seed, resample):
                     survivors=0, required=1,
                 )
             if n_dead:
-                alive = np.flatnonzero(~dead)
-                counts[dead] = counts[gen.choice(alive, size=n_dead)]
+                src = gen.choice(np.flatnonzero(~dead), size=n_dead)
+                counts[dead], sizes[dead] = counts[src], sizes[src]
 
         _, counts = _forward(ens, initial_type, horizon, gen, size,
                              step=refill if resample else None)
-        return counts @ type_sizes
+        return counts @ ens._particle_table.type_sizes
 
     return run_chunked(task, replicas, seed)
 
@@ -553,14 +537,12 @@ def log_population_path(ens: EnvironmentEnsemble, initial_type: int, horizon: in
     scale = horizon ** (-1.0 / alpha)
     if scale_sequence is not None:
         scale *= float(scale_sequence(horizon))
-    type_sizes = np.arange(1, ens.order + 1, dtype=np.int64)
 
     def task(gen, size):
         # per generation, the ids and log sizes of the replicas live after it
         history = []
 
-        def record(t, rows, counts):
-            sizes = counts @ type_sizes
+        def record(t, rows, counts, sizes):
             live = sizes > 0
             history.append((rows[live], np.log(sizes[live])))
 

@@ -579,6 +579,10 @@ def calibrate_critical_pair(mat_super: np.ndarray, mat_sub: np.ndarray,
         raise ValueError("horizon must be at least 1")
     if replicas < 1:
         raise ValueError("replicas must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     mats = np.stack([np.asarray(mat_sub, dtype=float),
                      np.asarray(mat_super, dtype=float)])
     if mats.shape[1] != mats.shape[2]:

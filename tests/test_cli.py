@@ -239,6 +239,11 @@ def test_survival_rejects_replica_floor(capsys):
     (("calibrate", "--horizon", "0"), "horizon must be at least 1"),
     (("calibrate", "--horizon", "-3"), "horizon must be at least 1"),
     (("calibrate", "--replicas", "0"), "replicas must be positive"),
+    (("calibrate", "--tol", "-1"), "tol must be positive and finite"),
+    (("calibrate", "--tol", "0"), "tol must be positive and finite"),
+    (("calibrate", "--tol", "nan"), "tol must be positive and finite"),
+    (("calibrate", "--tol", "inf"), "tol must be positive and finite"),
+    (("calibrate", "--max-iter", "0"), "max_iter must be at least 1"),
 ])
 def test_out_of_range_inputs_are_typed_errors(capsys, tmp_path, argv, message):
     config = "preset:boom_bust" if argv[0] == "calibrate" else "preset:critical"

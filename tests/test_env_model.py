@@ -1,4 +1,5 @@
 """Offspring-law containers, validation, evaluation, and serialization."""
+import dataclasses
 import json
 import math
 
@@ -231,6 +232,32 @@ def test_ensemble_sampling_matches_generator_choice():
     assert np.array_equal(ens.sample_index_array((40, 50), a),
                           b.choice(3, size=(40, 50), p=ens.weights))
     assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("order, size", [(1, 1), (2, 3), (3, 2)])
+def test_particle_table_is_read_only_and_stacks_every_law(order, size):
+    ens = random_ensemble(np.random.default_rng(10 * order + size), order, size)
+    table = ens._particle_table
+    assert table is ens._particle_table
+    for arr in (table.child_counts, table.type_sizes, *table.weights, *table.coupled):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.weights = ()
+    assert table.type_sizes.tolist() == list(range(1, order + 1))
+    # law m * N + i - 1 is member m's size-i law; the spans tile the stack
+    assert len(table.weights) == len(table.spans) == len(table.coupled) == size * order
+    assert [s.start for s in table.spans] == [0] + [s.stop for s in table.spans[:-1]]
+    assert table.spans[-1].stop == table.child_counts.shape[0]
+    for m, env in enumerate(ens.members):
+        for k in range(order):
+            law = m * order + k
+            assert np.array_equal(table.weights[law], env._atom_weights[k])
+            assert np.array_equal(table.child_counts[table.spans[law]],
+                                  env._atom_child_counts[k])
+            assert np.array_equal(table.coupled[law][:, :order], env._atom_child_counts[k])
+            assert np.array_equal(table.coupled[law][:, order:], env._sibship_counts[k])
 
 
 def test_ensemble_weight_validation():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sibdep import simulator
 from sibdep.env_model import Environment, EnvironmentEnsemble, SiblingLaw
 from sibdep.errors import InsufficientSurvivorsError, PopulationCapError
 from sibdep.presets import load_preset
@@ -150,20 +151,21 @@ def reference_forward(ens, initial_type, horizon, gen, size, step=None):
                         new[r] += gen.multinomial(counts[r, k], weights) @ child_counts
         counts = new
         if step is not None:
-            step(t, np.arange(size), counts)
+            step(t, np.arange(size), counts, counts @ np.arange(1, ens.order + 1))
         if not counts.any():
             break
     return counts
 
 
 def resample_hook(gen):
-    def refill(t, rows, counts):
+    def refill(t, rows, counts, sizes):
         dead = ~counts.any(axis=1)
         if dead.all():
             raise InsufficientSurvivorsError(f"every walker died at {t}",
                                              survivors=0, required=1)
         if dead.any():
-            counts[dead] = counts[gen.choice(np.flatnonzero(~dead), size=int(dead.sum()))]
+            src = gen.choice(np.flatnonzero(~dead), size=int(dead.sum()))
+            counts[dead], sizes[dead] = counts[src], sizes[src]
     return refill
 
 
@@ -182,8 +184,19 @@ def test_live_row_driver_matches_the_every_row_reference(seed, order, members, s
                                   np.append(np.full(members, 0.2 / members), 0.8))
         horizon = 20
     itype = int(gen.integers(1, order + 1))
+    got, want = run_live_rows_and_reference(ens, itype, horizon, size, hook,
+                                            gen.bit_generator.state)
+    assert got == want
+    if dies and not hook:
+        assert got[0] == ("ok", [[0] * order] * size)
+
+
+def run_live_rows_and_reference(ens, itype, horizon, size, hook, state):
+    """Final counts of every replica and the generator state after the
+    live-row driver and after the every-row reference, both started from
+    `state`."""
+    order = ens.order
     cap = (2 ** 63 - 1) // order
-    state = gen.bit_generator.state
 
     def run(driver):
         g = np.random.default_rng()
@@ -206,10 +219,34 @@ def test_live_row_driver_matches_the_every_row_reference(seed, order, members, s
         return reference_forward(ens, itype, horizon, g, size,
                                  resample_hook(g) if hook else None).tolist()
 
-    got, want = run(live_rows), run(every_row)
+    return run(live_rows), run(every_row)
+
+
+@pytest.mark.parametrize("preset, size, horizon, hook, exercises", [
+    ("critical", 64, 60, False, ""),
+    ("critical", 64, 60, True, "counts in the thousands"),
+    ("critical", 3, 40, False, "a member without rows"),
+    ("supercritical", 8, 150, False, "counts in the thousands"),
+])
+def test_live_row_driver_matches_the_every_row_reference_on_presets(
+        preset, size, horizon, hook, exercises):
+    ens = load_preset(preset)
+    batches = []
+    advance = simulator._advance_batch
+
+    def spy(counts, member_idx, *args):
+        batches.append((np.bincount(member_idx, minlength=ens.size), counts.max()))
+        return advance(counts, member_idx, *args)
+
+    with mock.patch.object(simulator, "_advance_batch", spy):
+        got, want = run_live_rows_and_reference(
+            ens, 1, horizon, size, hook, np.random.default_rng(11).bit_generator.state)
     assert got == want
-    if dies and not hook:
-        assert got[0] == ("ok", [[0] * order] * size)
+    if exercises == "counts in the thousands":
+        # numpy draws a binomial by BTPE once n * p exceeds 30
+        assert max(top for _, top in batches) >= 1000
+    if exercises == "a member without rows":
+        assert any(0 in per_member for per_member, _ in batches)
 
 
 def assert_trajectory_views(traj):
@@ -245,7 +282,7 @@ def test_single_trajectory_routes_match_the_forward_driver(seed, order, members,
         counts = np.zeros((horizon + 1, order), dtype=np.int64)
         counts[0, itype - 1] = 1
 
-        def record(t, rows, new):
+        def record(t, rows, new, sizes):
             counts[t] = new[0]
 
         try:

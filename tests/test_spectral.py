@@ -299,6 +299,27 @@ def test_calibration_rejects_empty_samples(sample, message):
         calibrate_critical_pair(2.0 * np.eye(2), 0.5 * np.eye(2), **sample)
 
 
+@pytest.mark.parametrize("budget, message", [
+    ({"tol": 0.0}, "tol must be positive and finite"),
+    ({"tol": -1.0}, "tol must be positive and finite"),
+    ({"tol": math.nan}, "tol must be positive and finite"),
+    ({"tol": math.inf}, "tol must be positive and finite"),
+    ({"max_iter": 0}, "max_iter must be at least 1"),
+    ({"max_iter": -2}, "max_iter must be at least 1"),
+])
+def test_calibration_rejects_a_bad_budget_before_any_draw(monkeypatch, budget, message):
+    from sibdep import spectral
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(spectral.RngStream, "generator", no_draws)
+    monkeypatch.setattr(spectral, "_indexed_log_norms", no_draws)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        calibrate_critical_pair(2.0 * np.eye(2), 0.5 * np.eye(2), horizon=50,
+                                replicas=8, **budget)
+
+
 def test_calibration_matrix_validation():
     with pytest.raises(ValueError, match="square"):
         calibrate_critical_pair(np.ones((2, 3)), np.ones((2, 3)))
