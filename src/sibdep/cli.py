@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, spectral
 from .errors import EnsembleFormatError, InvalidLawError, SibdepError
 from .env_model import (
     EnvironmentEnsemble,
@@ -49,14 +49,7 @@ from .simulator import (
     log_population_path,
     survival_scaling_scan,
 )
-from .spectral import (
-    ConditionParams,
-    calibrate_critical,
-    check_conditions,
-    estimate_lambda_theta,
-    estimate_lyapunov,
-    lambda_prime_at_one,
-)
+from .spectral import ConditionParams, calibrate_critical, check_conditions
 
 PRESET_PREFIX = "preset:"
 
@@ -69,7 +62,7 @@ _UNHASHED = ("command", "func", "config", "out", "format")
 
 def canonical_json(obj) -> str:
     """Key-sorted, separator-free JSON: the encoding the config hash digests."""
-    return json.dumps(plain(obj), sort_keys=True, separators=(",", ":"))
+    return json.dumps(plain(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def config_hash(command: str, doc: dict, params: dict) -> str:
@@ -91,8 +84,8 @@ def _fmt(value) -> str:
 
 
 def _pretty_json(payload: dict) -> str:
-    """The layout of result files and of payloads printed to stdout."""
-    return json.dumps(plain(payload), sort_keys=True, indent=2)
+    """The layout of result files and stdout payloads; NaN or inf raises ValueError."""
+    return json.dumps(plain(payload), sort_keys=True, indent=2, allow_nan=False)
 
 
 # -- artifact writing ------------------------------------------------------
@@ -195,9 +188,10 @@ def run_command(compute, ns) -> int:
     """
     doc = _read_doc(ns.config)
     ens = ensemble_from_dict(doc)
-    chash = config_hash(ns.command, doc, hashed_options(ns))
     start = time.monotonic()
     body, table, summary = compute(ens, ns)
+    # hashed after compute, so a non-finite option gets the library's message
+    chash = config_hash(ns.command, doc, hashed_options(ns))
     payload = {"config_hash": chash, "seed": ns.seed, "label": ens.label, **body}
     if ns.out is None:
         print(_pretty_json(payload))
@@ -249,15 +243,19 @@ def cmd_moments(ens: EnvironmentEnsemble, ns):
 
 
 def cmd_lyapunov(ens: EnvironmentEnsemble, ns):
-    sample = {"horizon": ns.horizon, "replicas": ns.replicas, "seed": ns.seed,
-              "use_macro": ns.macro}
-    growth = estimate_lyapunov(ens, **sample)
+    # one product sample for every section; the checks come before the draw
+    if ns.theta is not None:
+        spectral._check_theta(ns.theta)
+    if ns.derivative:
+        spectral._check_step(ns.step)
+    logs = spectral._sampled_log_norms(ens, ns.horizon, ns.replicas, ns.seed, ns.macro)
+    growth = spectral._growth_rate(logs, ns.horizon)
     body = {"growth_rate": growth.to_dict()}
     if ns.theta is not None:
-        body["moment_growth"] = estimate_lambda_theta(ens, ns.theta, **sample).to_dict()
+        body["moment_growth"] = spectral._moment_growth(logs, ns.theta, ns.horizon).to_dict()
     if ns.derivative:
-        body["moment_growth_slope"] = lambda_prime_at_one(
-            ens, step=ns.step, **sample).to_dict()
+        slope = spectral._growth_slope(logs, ns.step, ns.horizon)
+        body["moment_growth_slope"] = slope.to_dict()
     return body, None, (f"lyapunov: growth rate {growth.value:+.6f} "
                         f"(stderr {growth.stderr:.2e})")
 

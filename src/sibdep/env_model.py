@@ -256,9 +256,6 @@ class Environment:
         missing = [i for i in range(1, self.order + 1) if i not in by_size]
         if missing:
             raise ValueError(f"missing laws for group sizes {missing}")
-        extra = [i for i in by_size if i < 1 or i > self.order]
-        if extra:
-            raise ValueError(f"laws for out-of-range group sizes {extra}")
 
         reports = {i: validate_sibling_law(by_size[i]) for i in by_size}
         bad = {i: r for i, r in reports.items() if not r.ok}
@@ -498,8 +495,8 @@ class EnvironmentEnsemble:
         return every[np.arange(rows), member_idx]
 
 
-def single_environment_ensemble(env: Environment, label: str = "") -> EnvironmentEnsemble:
-    return EnvironmentEnsemble((env,), np.array([1.0]), label=label or env.label)
+def single_environment_ensemble(env: Environment) -> EnvironmentEnsemble:
+    return EnvironmentEnsemble((env,), np.array([1.0]), label=env.label)
 
 
 # -- interchange format ----------------------------------------------------
@@ -654,7 +651,7 @@ def ensemble_to_dict(ens: EnvironmentEnsemble) -> dict:
 
 
 def random_environment(rng: np.random.Generator, order: int,
-                       concentration: float = 1.0, label: str = "") -> Environment:
+                       label: str = "") -> Environment:
     """Generate a random fully supported environment, mainly for testing.
 
     Every canonical multiset of each group size receives a Dirichlet weight, so
@@ -663,7 +660,7 @@ def random_environment(rng: np.random.Generator, order: int,
     laws = []
     for i in range(1, order + 1):
         tuples = list(itertools.combinations_with_replacement(range(order + 1), i))
-        w = rng.dirichlet(np.full(len(tuples), concentration))
+        w = rng.dirichlet(np.ones(len(tuples)))
         # guard against zeros from extreme Dirichlet draws
         w = w + 1e-9
         w = w / w.sum()

@@ -91,21 +91,25 @@ class PerronResult:
     degenerate: bool = False
 
 
-def _power_iterate(m: np.ndarray, start: np.ndarray, tol: float, max_iter: int):
+_POWER_TOL = 1e-12         # settled: ratio and iterate each move at most this
+_POWER_MAX_ITER = 100_000
+
+
+def _power_iterate(m: np.ndarray, start: np.ndarray):
     x = start / start.sum()
     ratio = None
-    for it in range(1, max_iter + 1):
+    for it in range(1, _POWER_MAX_ITER + 1):
         y = m @ x
         r = float(np.abs(y).sum())
         if r == 0.0:
             return 0.0, x, it, True
         x_new = y / r
-        settled = ratio is not None and abs(r - ratio) <= tol \
-            and float(np.abs(x_new - x).sum()) <= tol
+        settled = ratio is not None and abs(r - ratio) <= _POWER_TOL \
+            and float(np.abs(x_new - x).sum()) <= _POWER_TOL
         x, ratio = x_new, r
         if settled:
             return ratio, x, it, False
-    return ratio, x, max_iter, None  # None marks non-convergence
+    return ratio, x, _POWER_MAX_ITER, None  # None marks non-convergence
 
 
 # a root this close to the spectral circle counts as on it: plain iteration
@@ -160,7 +164,7 @@ def _defective_root(mat: np.ndarray, roots: np.ndarray):
     return rho, v / v.sum()
 
 
-def perron(m: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) -> PerronResult:
+def perron(m: np.ndarray) -> PerronResult:
     """Dominant eigenvalue and 1-normalized eigenvector by power iteration.
 
     Expects a nonnegative square matrix; reducible or degenerate inputs
@@ -192,15 +196,13 @@ def perron(m: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) -> Perron
     shift = _periodic_shift(roots)
     work = mat + shift * np.eye(n) if shift else mat
 
-    value, vector, iters, collapsed = _power_iterate(
-        work, np.full(n, 1.0 / n), tol, max_iter
-    )
+    value, vector, iters, collapsed = _power_iterate(work, np.full(n, 1.0 / n))
     if collapsed is None:
         residual = float(np.max(np.abs(work @ vector - value * vector)))
         raise PowerIterationError(
-            f"power iteration did not settle within {max_iter} iterations "
+            f"power iteration did not settle within {_POWER_MAX_ITER} iterations "
             f"(last residual {residual:.3e})",
-            residual=residual, iterations=max_iter,
+            residual=residual, iterations=_POWER_MAX_ITER,
         )
     degenerate = bool(collapsed)
     if collapsed:
@@ -210,10 +212,10 @@ def perron(m: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) -> Perron
     # second start probes for a non-simple dominant eigenvalue
     if n > 1 and not degenerate:
         probe = np.arange(1.0, n + 1.0)
-        v2, x2, _, c2 = _power_iterate(work, probe, tol, max_iter)
+        v2, x2, _, c2 = _power_iterate(work, probe)
         mismatch = (
             c2 is None or c2
-            or abs(v2 - value) > max(1e3 * tol, 1e-10 * max(1.0, value))
+            or abs(v2 - value) > max(1e3 * _POWER_TOL, 1e-10 * max(1.0, value))
             or float(np.max(np.abs(x2 - vector))) > 1e-6
         )
         if mismatch:
@@ -283,13 +285,13 @@ class MomentSet(Record):
     label: str = ""
 
 
-def moment_set(env: Environment, tol: float = 1e-12) -> MomentSet:
+def moment_set(env: Environment) -> MomentSet:
     """Assemble the full moment summary for one environment."""
     mean = mean_matrix(env)
     hess = hessians(env)
     stats = _curvature_stats(env, mean, hess)
     macro = macro_moments(env)
-    pr = perron(mean, tol=tol)
+    pr = perron(mean)
     eta = eta_variance_matrix(env)
     return MomentSet(
         order=env.order,

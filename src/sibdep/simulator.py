@@ -32,7 +32,7 @@ the only worker setting, so seeded results never depend on the worker count.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +132,13 @@ def _advance_batch(counts, member_idx, table, gen, generation, cap=POPULATION_CA
             generation=generation, cap=cap,
         )
     return new, sizes
+
+
+def _check_alpha(alpha: float) -> None:
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    if alpha <= 0.0:
+        raise ValueError("alpha must be positive")
 
 
 def _check_initial_type(order: int, initial_type: int) -> None:
@@ -346,8 +353,7 @@ def survival_scaling_scan(ens: EnvironmentEnsemble, initial_type: int,
         raise ValueError("horizons must be positive")
     if replicas < 2:
         raise ValueError("replicas >= 2 required")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     _check_initial_type(ens.order, initial_type)
     longest = hs[-1]
 
@@ -433,8 +439,7 @@ def _survivor_sizes(ens, initial_type, horizon, replicas, seed, resample):
 
 def conditional_size_distribution(ens: EnvironmentEnsemble, initial_type: int,
                                   horizon: int, replicas: int = 20_000,
-                                  seed: int = 0, method: str = "auto",
-                                  s_grid: np.ndarray | None = None
+                                  seed: int = 0, method: str = "auto"
                                   ) -> ConditionalSizeDistribution:
     """Law of the individual count at the horizon given it is positive.
 
@@ -468,7 +473,7 @@ def conditional_size_distribution(ens: EnvironmentEnsemble, initial_type: int,
 
     support, freq = np.unique(sizes, return_counts=True)
     probs = freq / freq.sum()
-    grid = np.linspace(0.0, 1.0, 11) if s_grid is None else np.asarray(s_grid, dtype=float)
+    grid = np.linspace(0.0, 1.0, 11)
     pgf = (grid[:, None] ** support[None, :]) @ probs
     return ConditionalSizeDistribution(
         horizon=horizon, initial_type=initial_type,
@@ -485,7 +490,7 @@ def conditional_size_distribution(ens: EnvironmentEnsemble, initial_type: int,
 class PathEnsemble:
     """Surviving paths as one (survivors, horizon + 1) array of values.
 
-    Row r holds horizon^(-1/alpha) * scale * log individual count of one
+    Row r holds horizon^(-1/alpha) * log individual count of one
     surviving replica at the times 0, 1/n, ..., 1.
     """
 
@@ -517,26 +522,22 @@ class PathEnsemble:
 
 def log_population_path(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
                         replicas: int = 20_000, alpha: float = 2.0, seed: int = 0,
-                        scale_sequence: Callable[[int], float] | None = None,
                         cap: int = POPULATION_CAP) -> PathEnsemble:
     """Normalized log individual counts along surviving replicas.
 
     A replica survives when its population at the horizon is positive, in
     which case it was positive at every earlier time too, so the whole
-    recorded path is well defined.  The scale sequence defaults to the
-    constant 1.  Long critical runs can push rare surviving paths past the
-    default cap; raising the cap (counts are exact 64-bit integers up to
-    INT64_MAX // order) lets those tails complete instead of failing the run.
+    recorded path is well defined.  Long critical runs can push rare
+    surviving paths past the default cap; raising the cap (counts are exact
+    64-bit integers up to INT64_MAX // order) lets those tails complete
+    instead of failing the run.
     """
     if replicas < 2:
         raise ValueError("replicas >= 2 required")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     scale = horizon ** (-1.0 / alpha)
-    if scale_sequence is not None:
-        scale *= float(scale_sequence(horizon))
 
     def task(gen, size):
         # per generation, the ids and log sizes of the replicas live after it

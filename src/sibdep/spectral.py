@@ -64,13 +64,13 @@ class MatrixEnsemble:
         return self.matrices.shape[0]
 
     @classmethod
-    def from_environments(cls, ens: EnvironmentEnsemble, macro: bool = False,
-                          label: str = "") -> "MatrixEnsemble":
+    def from_environments(cls, ens: EnvironmentEnsemble,
+                          macro: bool = False) -> "MatrixEnsemble":
         if macro:
             mats = np.stack([mo.macro_moments(env).mean for env in ens.members])
         else:
             mats = np.stack([mo.mean_matrix(env) for env in ens.members])
-        return cls(mats, ens.weights, label=label or ens.label)
+        return cls(mats, ens.weights, label=ens.label)
 
 
 def _as_matrix_ensemble(source, macro: bool = False) -> MatrixEnsemble:
@@ -179,6 +179,10 @@ def _indexed_log_norms(mats: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _sampled_log_norms(source, horizon, replicas, seed, use_macro):
+    """Log norms of `replicas` sampled products of horizon + 1 factors; each
+    estimator below is one statistic of this one draw."""
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     me = _as_matrix_ensemble(source, macro=use_macro)
     factors = horizon + 1
 
@@ -187,6 +191,13 @@ def _sampled_log_norms(source, horizon, replicas, seed, use_macro):
         return _indexed_log_norms(me.matrices, idx)
 
     return run_chunked(task, replicas, seed)
+
+
+def _log_mean_exp(values: np.ndarray):
+    """Max-shifted parts of log mean exp(values): (max, exp(values - max), their sum)."""
+    mx = float(values.max())
+    z = np.exp(values - mx)
+    return mx, z, float(z.sum())
 
 
 @dataclass(frozen=True)
@@ -199,16 +210,19 @@ class GrowthEstimate(Record):
     replicas: int
 
 
-def estimate_lyapunov(source, horizon: int = 512, replicas: int = 256, seed: int = 0,
-                      use_macro: bool = False) -> GrowthEstimate:
-    """Average per-step log growth of the random product over many replicas."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    logs = _sampled_log_norms(source, horizon, replicas, seed, use_macro)
+def _growth_rate(logs: np.ndarray, horizon: int) -> GrowthEstimate:
+    replicas = logs.shape[0]
     per = logs / horizon
     stderr = float(per.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
     return GrowthEstimate(value=float(per.mean()), stderr=stderr,
                           horizon=horizon, replicas=replicas)
+
+
+def estimate_lyapunov(source, horizon: int = 512, replicas: int = 256, seed: int = 0,
+                      use_macro: bool = False) -> GrowthEstimate:
+    """Average per-step log growth of the random product over many replicas."""
+    return _growth_rate(_sampled_log_norms(source, horizon, replicas, seed, use_macro),
+                        horizon)
 
 
 @dataclass(frozen=True)
@@ -223,10 +237,25 @@ class MomentGrowthEstimate(Record):
     replicas: int
 
 
-def _log_mean_exp(values: np.ndarray):
-    mx = float(values.max())
-    z = np.exp(values - mx)
-    return mx + math.log(float(z.mean())), z
+def _check_theta(theta: float) -> None:
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
+    if theta <= 0.0:
+        raise ValueError("theta must be positive")
+
+
+def _moment_growth(logs: np.ndarray, theta: float, horizon: int) -> MomentGrowthEstimate:
+    replicas = logs.shape[0]
+    mx, z, total = _log_mean_exp(theta * logs)
+    log_value = (mx + math.log(total / replicas)) / horizon
+    value = math.exp(log_value)
+    if replicas > 1:
+        rel = float(z.std(ddof=1) / math.sqrt(replicas) / z.mean())
+        stderr = value * rel / horizon
+    else:
+        stderr = 0.0
+    return MomentGrowthEstimate(value=value, log_value=log_value, stderr=stderr,
+                                theta=theta, horizon=horizon, replicas=replicas)
 
 
 def estimate_lambda_theta(source, theta: float, horizon: int = 512,
@@ -237,21 +266,9 @@ def estimate_lambda_theta(source, theta: float, horizon: int = 512,
     The replica average of |R|^theta is formed in log space with a max shift,
     so heavy replica weights never overflow.
     """
-    if theta <= 0.0:
-        raise ValueError("theta must be positive")
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    logs = _sampled_log_norms(source, horizon, replicas, seed, use_macro)
-    lme, z = _log_mean_exp(theta * logs)
-    log_value = lme / horizon
-    value = math.exp(log_value)
-    if replicas > 1:
-        rel = float(z.std(ddof=1) / math.sqrt(replicas) / z.mean())
-        stderr = value * rel / horizon
-    else:
-        stderr = 0.0
-    return MomentGrowthEstimate(value=value, log_value=log_value, stderr=stderr,
-                                theta=theta, horizon=horizon, replicas=replicas)
+    _check_theta(theta)
+    return _moment_growth(_sampled_log_norms(source, horizon, replicas, seed, use_macro),
+                          theta, horizon)
 
 
 @dataclass(frozen=True)
@@ -263,30 +280,16 @@ class DerivativeEstimate(Record):
     replicas: int
 
 
-def lambda_prime_at_one(source, step: float = 0.1, horizon: int = 512,
-                        replicas: int = 256, seed: int = 0,
-                        use_macro: bool = False) -> DerivativeEstimate:
-    """Central difference of the log moment growth rate at exponent 1.
-
-    Both endpoints are evaluated on the same replica sample, so the shared
-    noise cancels in the difference; the standard error is a leave-one-out
-    jackknife over replicas.
-    """
+def _check_step(step: float) -> None:
     if not 0.0 < step < 1.0:
         raise ValueError("step must lie in (0, 1) so both exponents stay positive")
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    logs = _sampled_log_norms(source, horizon, replicas, seed, use_macro)
+
+
+def _growth_slope(logs: np.ndarray, step: float, horizon: int) -> DerivativeEstimate:
     n = logs.shape[0]
     scale = 2.0 * step * horizon
-
-    def _lme_parts(theta):
-        mx = float((theta * logs).max())
-        z = np.exp(theta * logs - mx)
-        return mx, z, float(z.sum())
-
-    mx_p, z_p, s_p = _lme_parts(1.0 + step)
-    mx_m, z_m, s_m = _lme_parts(1.0 - step)
+    mx_p, z_p, s_p = _log_mean_exp((1.0 + step) * logs)
+    mx_m, z_m, s_m = _log_mean_exp((1.0 - step) * logs)
     value = ((mx_p + math.log(s_p / n)) - (mx_m + math.log(s_m / n))) / scale
     if n > 1:
         loo_p = mx_p + np.log((s_p - z_p) / (n - 1))
@@ -296,26 +299,45 @@ def lambda_prime_at_one(source, step: float = 0.1, horizon: int = 512,
     else:
         stderr = 0.0
     return DerivativeEstimate(value=float(value), stderr=stderr, step=step,
-                              horizon=horizon, replicas=replicas)
+                              horizon=horizon, replicas=n)
+
+
+def lambda_prime_at_one(source, step: float = 0.1, horizon: int = 512,
+                        replicas: int = 256, seed: int = 0,
+                        use_macro: bool = False) -> DerivativeEstimate:
+    """Central difference of the log moment growth rate at exponent 1.
+
+    Both endpoints are evaluated on the same replica sample, so the shared
+    noise cancels in the difference; the standard error is a leave-one-out
+    jackknife over replicas.
+    """
+    _check_step(step)
+    return _growth_slope(_sampled_log_norms(source, horizon, replicas, seed, use_macro),
+                         step, horizon)
 
 
 # -- structural condition checks -------------------------------------------
 
 
+EIG_TOL = 1e-8     # residual tolerance for the shared eigenvector
+DRIFT_TOL = 1e-2   # tolerated weighted mean of the log dominant root
+
+
 @dataclass(frozen=True)
 class ConditionParams:
-    """Tunable exponents and tolerances for the structural checks."""
+    """Exponents and sample size for the structural checks."""
 
     theta: float = 1.0        # exponent for the mean-norm moment
     eps: float = 0.1          # slack exponent in the curvature moments
     alpha: float = 2.0        # stable index used by the tail checks
-    delta: float | None = None   # expansion threshold; None derives the best one
-    eig_tol: float = 1e-8     # residual tolerance for the shared eigenvector
-    growth_floor: float = 0.0  # absolute slack added to the criticality band
-    drift_tol: float = 1e-2   # tolerated mean of the log dominant root
     horizon: int = 512
     replicas: int = 256
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("theta", "eps", "alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -381,6 +403,8 @@ def check_conditions(ens: EnvironmentEnsemble,
 
     Finite mixtures make most moment conditions automatic; the report still
     records the realized values so regimes can be compared quantitatively.
+    Tolerances are fixed (EIG_TOL, DRIFT_TOL); a uniform expansion threshold
+    that no member attains is reported as None.
     """
     p = params or ConditionParams()
     members = ens.members
@@ -438,7 +462,7 @@ def check_conditions(ens: EnvironmentEnsemble,
     growth = estimate_lyapunov(ens, horizon=p.horizon, replicas=p.replicas,
                                seed=p.seed)
     offset = math.log(ens.order) / p.horizon
-    band = 3.0 * growth.stderr + p.growth_floor + offset
+    band = 3.0 * growth.stderr + offset
     check("zero_growth", bool(abs(growth.value) <= band),
           {"estimate": growth.value, "stderr": growth.stderr, "offset": offset,
            "band": band})
@@ -446,19 +470,11 @@ def check_conditions(ens: EnvironmentEnsemble,
     # positive chance of uniform expansion across all directions
     min_rows = np.array([float(r.min()) for r in row_sums])
     best = float(min_rows.max())
-    witness = int(min_rows.argmax())
-    if p.delta is None:
-        holds = best > 1.0
-        delta_val = math.log(best) if best > 0.0 else -math.inf
-        note = "best achievable threshold derived from the support"
-    else:
-        holds = best >= math.exp(p.delta)
-        delta_val = p.delta
-        note = "threshold supplied by caller"
-    check("uniform_expansion_event", bool(holds),
-          {"delta": delta_val, "member_min_row_sums": min_rows.tolist(),
-           "witness_member": witness},
-          note)
+    check("uniform_expansion_event", best > 1.0,
+          {"delta": math.log(best) if best > 0.0 else None,
+           "member_min_row_sums": min_rows.tolist(),
+           "witness_member": int(min_rows.argmax())},
+          "best achievable threshold derived from the support")
 
     # sup over directions of E[1 / |xM|]; linear in x so vertices decide
     if np.all(np.concatenate(row_sums) > 0.0):
@@ -498,7 +514,7 @@ def check_conditions(ens: EnvironmentEnsemble,
         residuals = [float(np.max(np.abs(m @ u - rho * u)))
                      for m, rho in zip(mats, rhos)]
         worst = max(residuals)
-        check("shared_eigenvector", bool(worst <= p.eig_tol),
+        check("shared_eigenvector", bool(worst <= EIG_TOL),
               {"residual": worst, "member_residuals": residuals,
                "candidate": u.tolist()})
     else:
@@ -523,7 +539,7 @@ def check_conditions(ens: EnvironmentEnsemble,
         var_x = float(np.dot(w, log_rho ** 2) - mean_x ** 2)
         if var_x <= 0.0:
             holds, note = False, "log dominant root is degenerate"
-        elif abs(mean_x) <= p.drift_tol:
+        elif abs(mean_x) <= DRIFT_TOL:
             holds, note = True, ("bounded spread with negligible drift; "
                                  "treated as the index-2 case")
         else:
@@ -595,10 +611,7 @@ def calibrate_critical_pair(mat_super: np.ndarray, mat_sub: np.ndarray,
 
     def growth_at(weight: float) -> GrowthEstimate:
         idx = uniforms < weight   # True selects the expanding member
-        per = _indexed_log_norms(mats, idx) / horizon
-        stderr = float(per.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
-        return GrowthEstimate(value=float(per.mean()), stderr=stderr,
-                              horizon=horizon, replicas=replicas)
+        return _growth_rate(_indexed_log_norms(mats, idx), horizon)
 
     trace: list[tuple[float, float, float]] = []
     top = growth_at(1.0)

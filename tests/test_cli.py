@@ -16,7 +16,8 @@ except ModuleNotFoundError:  # Python 3.10, where pytest itself depends on tomli
     import tomli as tomllib
 
 from sibdep.cli import build_parser, hashed_options, main, verify_run_dir
-from sibdep.presets import preset_path
+from sibdep.presets import PRESET_NAMES, load_preset, preset_path
+from sibdep.spectral import estimate_lambda_theta, estimate_lyapunov, lambda_prime_at_one
 
 
 # every artifact-writing command at a size that runs in milliseconds
@@ -244,6 +245,17 @@ def test_survival_rejects_replica_floor(capsys):
     (("calibrate", "--tol", "nan"), "tol must be positive and finite"),
     (("calibrate", "--tol", "inf"), "tol must be positive and finite"),
     (("calibrate", "--max-iter", "0"), "max_iter must be at least 1"),
+    (("scan", "--alpha", "nan"), "alpha must be finite"),
+    (("scan", "--alpha", "inf"), "alpha must be finite"),
+    (("paths", "--alpha", "nan"), "alpha must be finite"),
+    (("paths", "--alpha", "inf"), "alpha must be finite"),
+    (("lyapunov", "--theta", "nan"), "theta must be finite"),
+    (("lyapunov", "--theta", "inf"), "theta must be finite"),
+    (("lyapunov", "--derivative", "--step", "nan"),
+     "step must lie in (0, 1) so both exponents stay positive"),
+    (("conditions", "--theta", "nan"), "theta must be finite"),
+    (("conditions", "--eps", "inf"), "eps must be finite"),
+    (("conditions", "--alpha=-inf"), "alpha must be finite"),
 ])
 def test_out_of_range_inputs_are_typed_errors(capsys, tmp_path, argv, message):
     config = "preset:boom_bust" if argv[0] == "calibrate" else "preset:critical"
@@ -333,6 +345,52 @@ def test_lyapunov_optional_sections(capsys):
     assert doc["growth_rate"]["value"] < 0.0
     assert doc["moment_growth"]["theta"] == 1.0
     assert math.isfinite(doc["moment_growth_slope"]["value"])
+
+
+def test_lyapunov_sections_match_the_library_estimators(capsys):
+    # more replicas than one 4096-replica chunk, and the macro view
+    sample = {"horizon": 24, "replicas": 5000, "seed": 3, "use_macro": True}
+    rc, out = run_cli(capsys, "lyapunov", "--config", "preset:subcritical_mix",
+                      "--horizon", "24", "--replicas", "5000", "--seed", "3",
+                      "--macro", "--theta", "1", "--derivative")
+    assert rc == 0
+    doc = json.loads(out)
+    ens = load_preset("subcritical_mix")
+    assert doc["growth_rate"] == estimate_lyapunov(ens, **sample).to_dict()
+    assert doc["moment_growth"] == estimate_lambda_theta(ens, 1.0, **sample).to_dict()
+    assert doc["moment_growth_slope"] == lambda_prime_at_one(ens, **sample).to_dict()
+
+
+# every member has a childless type: no member has a positive minimum row
+# sum, so the best expansion threshold log(0) does not exist
+HALF_DEAD = {"N": 2, "label": "half-dead", "environments": [{"weight": 1.0, "laws": [
+    {"group_size": 1, "atoms": [{"tuple": [1], "weight": 0.5},
+                                {"tuple": [2], "weight": 0.5}]},
+    {"group_size": 2, "atoms": [{"tuple": [0, 0], "weight": 1.0}]}]}]}
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+def test_every_artifact_is_strict_json(capsys, tmp_path):
+    half_dead = tmp_path / "half_dead.json"
+    half_dead.write_text(json.dumps(HALF_DEAD), encoding="utf-8")
+    configs = [f"preset:{name}" for name in PRESET_NAMES] + [str(half_dead)]
+    for c, config in enumerate(configs):
+        for command, argv in TINY_RUNS.items():
+            out = tmp_path / str(c) / command
+            rc, printed = run_cli(capsys, *argv, "--config", config, "--out", str(out))
+            assert rc in (0, 1), (config, command)
+            texts = ([path.read_text(encoding="utf-8") for path in out.glob("*.json")]
+                     if rc == 0 else [printed])
+            assert texts, (config, command)
+            for text in texts:
+                json.loads(text, parse_constant=_reject_constant)
+    report = read_json(tmp_path / str(len(configs) - 1) / "conditions" / "conditions.json")
+    expansion = next(c for c in report["checks"] if c["id"] == "uniform_expansion_event")
+    assert expansion["values"]["delta"] is None
+    assert expansion["holds"] is False
 
 
 def test_conditions_artifact(capsys, tmp_path):

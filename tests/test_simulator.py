@@ -588,12 +588,11 @@ def test_path_results_ignore_worker_count(ab_equal):
     np.testing.assert_array_equal(one.endpoints, three.endpoints)
 
 
-def test_path_scale_sequence_and_cap():
+def test_path_scale_and_cap():
     ens = only(doubling_env())
-    pe = log_population_path(ens, 2, 8, replicas=4, seed=0, cap=10 ** 6,
-                             scale_sequence=lambda n: 2.0)
-    # deterministic doubling: zeta(t) = 2^(t+1), scaled by 2 / sqrt(8)
-    expect = 2.0 / math.sqrt(8.0) * np.log(2.0 ** np.arange(1, 10))
+    pe = log_population_path(ens, 2, 8, replicas=4, seed=0, cap=10 ** 6)
+    # deterministic doubling: zeta(t) = 2^(t+1), scaled by 1 / sqrt(8)
+    expect = 1.0 / math.sqrt(8.0) * np.log(2.0 ** np.arange(1, 10))
     np.testing.assert_allclose(pe.mean_path, expect, rtol=1e-12)
     with pytest.raises(PopulationCapError):
         log_population_path(ens, 2, 20, replicas=4, seed=0, cap=1000)

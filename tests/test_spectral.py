@@ -247,12 +247,9 @@ def test_zero_growth_holds_on_critical_preset_across_seeds():
         assert zg.holds is True, (seed, zg.values)
 
 
-def test_growth_floor_widens_criticality_band(ab_sub):
-    strict = check_conditions(ab_sub, ConditionParams(horizon=128, replicas=64))
-    loose = check_conditions(
-        ab_sub, ConditionParams(horizon=128, replicas=64, growth_floor=10.0))
-    assert strict.get("zero_growth").holds is False
-    assert loose.get("zero_growth").holds is True
+def test_zero_growth_fails_on_subcritical_pair(ab_sub):
+    report = check_conditions(ab_sub, ConditionParams(horizon=128, replicas=64))
+    assert report.get("zero_growth").holds is False
 
 
 def test_calibration_stops_at_midpoint_for_balanced_pair(critical_pair):
