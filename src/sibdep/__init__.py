@@ -54,9 +54,7 @@ from .spectral import (
     ConditionReport,
     DerivativeEstimate,
     GrowthEstimate,
-    MatrixEnsemble,
     MomentGrowthEstimate,
-    ProductAccumulator,
     calibrate_critical,
     calibrate_critical_pair,
     check_conditions,
@@ -121,8 +119,6 @@ __all__ = [
     "MomentSet",
     "moment_set",
     # spectral
-    "MatrixEnsemble",
-    "ProductAccumulator",
     "product_lognorm",
     "GrowthEstimate",
     "estimate_lyapunov",

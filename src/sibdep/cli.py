@@ -37,6 +37,7 @@ from .errors import EnsembleFormatError, InvalidLawError, SibdepError
 from .env_model import (
     EnvironmentEnsemble,
     ensemble_from_dict,
+    read_ensemble_doc,
     validate_sibling_law,
 )
 from .moments import moment_set, perron
@@ -91,7 +92,10 @@ def _pretty_json(payload: dict) -> str:
 # -- artifact writing ------------------------------------------------------
 
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(_pretty_json(payload) + "\n", encoding="utf-8")
+    """Write one JSON file; its directory is made only once the payload encodes."""
+    text = _pretty_json(payload)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def write_csv(path: Path, chash: str, header: list[str], rows) -> None:
@@ -160,19 +164,11 @@ def verify_run_dir(out_dir) -> dict:
 
 def _read_doc(source: str) -> dict:
     if source.startswith(PRESET_PREFIX):
-        name = source[len(PRESET_PREFIX):]
         try:
-            text = preset_path(name).read_text(encoding="utf-8")
+            source = preset_path(source[len(PRESET_PREFIX):])
         except KeyError as exc:
             raise EnsembleFormatError(str(exc.args[0])) from exc
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise EnsembleFormatError(
-            f"{source}: invalid JSON at line {exc.lineno} "
-            f"column {exc.colno}: {exc.msg}") from exc
+    return read_ensemble_doc(source)
 
 
 # -- the runner ------------------------------------------------------------
@@ -197,9 +193,8 @@ def run_command(compute, ns) -> int:
         print(_pretty_json(payload))
         return 0
     out = Path(ns.out)
-    out.mkdir(parents=True, exist_ok=True)
     names = [f"{ns.command}.json"]
-    write_json(out / names[0], payload)
+    write_json(out / names[0], payload)   # creates --out once the payload encodes
     if table is not None and ns.format == "csv":
         names.append(f"{ns.command}.csv")
         write_csv(out / names[1], chash, *table)

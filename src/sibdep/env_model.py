@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -614,15 +615,18 @@ def ensemble_from_dict(doc: Mapping) -> EnvironmentEnsemble:
     return EnvironmentEnsemble(tuple(members), np.array(weights), label=label)
 
 
-def load_ensemble(path) -> EnvironmentEnsemble:
-    """Load an ensemble document from a JSON file."""
+def read_ensemble_doc(path) -> dict:
+    """Parse a JSON ensemble document; a syntax error names the path as given."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise EnsembleFormatError(f"{path}: invalid JSON at line {exc.lineno} "
                                   f"column {exc.colno}: {exc.msg}") from exc
-    return ensemble_from_dict(doc)
+
+
+def load_ensemble(path) -> EnvironmentEnsemble:
+    """Load an ensemble document from a JSON file."""
+    return ensemble_from_dict(read_ensemble_doc(path))
 
 
 def law_to_dict(law: SiblingLaw) -> dict:

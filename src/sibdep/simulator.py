@@ -355,6 +355,11 @@ def survival_scaling_scan(ens: EnvironmentEnsemble, initial_type: int,
         raise ValueError("replicas >= 2 required")
     _check_alpha(alpha)
     _check_initial_type(ens.order, initial_type)
+    try:
+        scales = [h ** (1.0 / alpha) for h in hs]
+    except OverflowError:
+        raise ValueError("the scaled column horizon**(1/alpha) overflows a float "
+                         f"at alpha={alpha!r}") from None
     longest = hs[-1]
 
     def task(gen, size):
@@ -367,7 +372,7 @@ def survival_scaling_scan(ens: EnvironmentEnsemble, initial_type: int,
     for j, h in enumerate(hs):
         est = _summarize(values[:, j], h, initial_type, "quenched-exact")
         rows.append(ScanRow(horizon=h, estimate=est.value, stderr=est.stderr,
-                            scaled=h ** (1.0 / alpha) * est.value))
+                            scaled=scales[j] * est.value))
     return tuple(rows)
 
 

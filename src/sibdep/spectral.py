@@ -1,19 +1,24 @@
 """Random products of mean matrices: growth rates, moment growth, diagnostics.
 
-Products are accumulated with a renormalization after every factor, so only
-the log of the scale grows and overflow never occurs.  Throughout, |m| is the
-entrywise absolute sum of a matrix; factors must be nonnegative, so the norm
-of a product is also 1' m 1.  Estimator horizons follow the product
-index: horizon n covers the product of n + 1 independently drawn factors and
-growth is normalized by 1/n.  Replica work runs through rng.run_chunked in
-chunks of a fixed 4096 replicas, one stream per chunk, so seeded results do
-not depend on the worker count, which only the SIBDEP_WORKERS environment
-variable sets.
+The estimators take an EnvironmentEnsemble and draw one member per product
+step; its mean matrices (group-level ones under the macro flag) are the
+factors.  Throughout, |m| is the entrywise absolute sum of a matrix; factors
+are nonnegative, so the norm of a product is also 1' m 1.  Every product is
+renormalized after each factor, so only the log of the scale grows and
+overflow never occurs.  product_lognorm multiplies one explicit sequence;
+_indexed_log_norms, the kernel the estimators and the calibration share,
+carries many sampled products at once.  Estimator horizons follow the
+product index: horizon n covers the product of n + 1 independently drawn
+factors and growth is normalized by 1/n.  Replica work runs through
+rng.run_chunked in chunks of a fixed 4096 replicas, one stream per chunk, so
+seeded results do not depend on the worker count, which only the
+SIBDEP_WORKERS environment variable sets.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -27,122 +32,40 @@ from .records import Record
 from .rng import RngStream, run_chunked
 
 
-@dataclass(frozen=True)
-class MatrixEnsemble:
-    """Finite mixture of square matrices, one drawn per product step."""
-
-    matrices: np.ndarray   # (K, N, N)
-    weights: np.ndarray    # (K,)
-    label: str = ""
-
-    def __post_init__(self):
-        mats = np.asarray(self.matrices, dtype=float)
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise ValueError(f"matrices must be (K, N, N), got {mats.shape}")
-        if not np.all(np.isfinite(mats)):
-            raise ValueError("matrix entries must be finite")
-        if np.any(mats < 0.0):
-            raise ValueError("matrix entries must be nonnegative")
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        if w.shape[0] != mats.shape[0]:
-            raise ValueError(f"{mats.shape[0]} matrices but {w.shape[0]} weights")
-        if np.any(w < 0.0) or not np.all(np.isfinite(w)) or w.sum() <= 0.0:
-            raise ValueError("weights must be nonnegative with positive total")
-        mats = mats.copy()
-        mats.flags.writeable = False
-        w = w / w.sum()
-        w.flags.writeable = False
-        object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def order(self) -> int:
-        return self.matrices.shape[1]
-
-    @property
-    def size(self) -> int:
-        return self.matrices.shape[0]
-
-    @classmethod
-    def from_environments(cls, ens: EnvironmentEnsemble,
-                          macro: bool = False) -> "MatrixEnsemble":
-        if macro:
-            mats = np.stack([mo.macro_moments(env).mean for env in ens.members])
-        else:
-            mats = np.stack([mo.mean_matrix(env) for env in ens.members])
-        return cls(mats, ens.weights, label=ens.label)
+def _mean_matrices(envs, macro: bool = False) -> np.ndarray:
+    """The (K, N, N) stack of mean matrices; macro selects the group-level means."""
+    if macro:
+        return np.stack([mo.macro_moments(env).mean for env in envs])
+    return np.stack([mo.mean_matrix(env) for env in envs])
 
 
-def _as_matrix_ensemble(source, macro: bool = False) -> MatrixEnsemble:
-    if isinstance(source, MatrixEnsemble):
-        if macro:
-            raise ValueError("macro view is only defined for environment ensembles")
-        return source
-    if isinstance(source, EnvironmentEnsemble):
-        return MatrixEnsemble.from_environments(source, macro=macro)
-    raise TypeError(f"expected an ensemble of environments or matrices, got {type(source)!r}")
+def product_lognorm(sequence, use_macro: bool = False) -> float:
+    """Log norm of the right product over an explicit factor sequence.
 
-
-@dataclass
-class ProductAccumulator:
-    """Running renormalized matrix product.
-
-    current keeps unit entrywise-absolute sum after every step; log_scale
-    accumulates the removed scale, so exp(log_scale) * current reconstructs
-    the full product.
-    """
-
-    current: np.ndarray
-    log_scale: float = 0.0
-    steps: int = 0
-
-    @classmethod
-    def identity(cls, order: int) -> "ProductAccumulator":
-        return cls(current=np.eye(order))
-
-    def step(self, factor: np.ndarray) -> "ProductAccumulator":
-        nxt = self.current @ np.asarray(factor, dtype=float)
-        scale = float(np.abs(nxt).sum())
-        if scale == 0.0 or not math.isfinite(scale):
-            raise DegenerateProductError(
-                f"product norm collapsed to {scale!r} at step {self.steps + 1}",
-                steps=self.steps + 1,
-            )
-        self.current = nxt / scale
-        self.log_scale += math.log(scale)
-        self.steps += 1
-        return self
-
-    def log_norm(self) -> float:
-        return self.log_scale + math.log(float(np.abs(self.current).sum()))
-
-    def matrix(self) -> np.ndarray:
-        return math.exp(self.log_scale) * self.current
-
-
-def product_lognorm(sequence, use_macro: bool = False):
-    """Accumulate the right product over an explicit factor sequence.
-
+    The plain one-factor-at-a-time reference for the batched kernel below.
     The sequence may hold environments (their mean matrices are used; the
     macro flag switches to group-level means) or raw square matrices.
-    Returns (log of the product norm, the accumulator).
     """
     factors = list(sequence)
     if not factors:
         raise ValueError("need at least one factor")
     if isinstance(factors[0], Environment):
-        if use_macro:
-            mats = [mo.macro_moments(env).mean for env in factors]
-        else:
-            mats = [mo.mean_matrix(env) for env in factors]
+        mats = _mean_matrices(factors, macro=use_macro)
+    elif use_macro:
+        raise ValueError("macro view is only defined for environment sequences")
     else:
-        if use_macro:
-            raise ValueError("macro view is only defined for environment sequences")
         mats = [np.asarray(f, dtype=float) for f in factors]
-    acc = ProductAccumulator.identity(mats[0].shape[0])
-    for m in mats:
-        acc.step(m)
-    return acc.log_norm(), acc
+    current = np.eye(mats[0].shape[0])
+    log_scale = 0.0
+    for k, m in enumerate(mats, start=1):
+        nxt = current @ m
+        scale = float(np.abs(nxt).sum())
+        if scale == 0.0 or not math.isfinite(scale):
+            raise DegenerateProductError(
+                f"product norm collapsed to {scale!r} at step {k}", steps=k)
+        current = nxt / scale
+        log_scale += math.log(scale)
+    return log_scale + math.log(float(np.abs(current).sum()))
 
 
 def _indexed_log_norms(mats: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -178,17 +101,19 @@ def _indexed_log_norms(mats: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return logs
 
 
-def _sampled_log_norms(source, horizon, replicas, seed, use_macro):
+def _sampled_log_norms(ens: EnvironmentEnsemble, horizon, replicas, seed, use_macro):
     """Log norms of `replicas` sampled products of horizon + 1 factors; each
     estimator below is one statistic of this one draw."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    me = _as_matrix_ensemble(source, macro=use_macro)
+    mats = _mean_matrices(ens.members, macro=use_macro)
+    # renormalized once more: the member probabilities the seeded draws were made with
+    p = ens.weights / ens.weights.sum()
     factors = horizon + 1
 
     def task(gen, size):
-        idx = gen.choice(me.size, size=(size, factors), p=me.weights)
-        return _indexed_log_norms(me.matrices, idx)
+        idx = gen.choice(ens.size, size=(size, factors), p=p)
+        return _indexed_log_norms(mats, idx)
 
     return run_chunked(task, replicas, seed)
 
@@ -218,10 +143,10 @@ def _growth_rate(logs: np.ndarray, horizon: int) -> GrowthEstimate:
                           horizon=horizon, replicas=replicas)
 
 
-def estimate_lyapunov(source, horizon: int = 512, replicas: int = 256, seed: int = 0,
-                      use_macro: bool = False) -> GrowthEstimate:
+def estimate_lyapunov(ens: EnvironmentEnsemble, horizon: int = 512, replicas: int = 256,
+                      seed: int = 0, use_macro: bool = False) -> GrowthEstimate:
     """Average per-step log growth of the random product over many replicas."""
-    return _growth_rate(_sampled_log_norms(source, horizon, replicas, seed, use_macro),
+    return _growth_rate(_sampled_log_norms(ens, horizon, replicas, seed, use_macro),
                         horizon)
 
 
@@ -244,10 +169,16 @@ def _check_theta(theta: float) -> None:
         raise ValueError("theta must be positive")
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def _moment_growth(logs: np.ndarray, theta: float, horizon: int) -> MomentGrowthEstimate:
     replicas = logs.shape[0]
-    mx, z, total = _log_mean_exp(theta * logs)
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite rate is caught below
+        mx, z, total = _log_mean_exp(theta * logs)
     log_value = (mx + math.log(total / replicas)) / horizon
+    if not log_value < _LOG_FLOAT_MAX:   # a NaN fails the comparison too
+        raise ValueError(f"the theta={theta!r} moment growth rate overflows a float")
     value = math.exp(log_value)
     if replicas > 1:
         rel = float(z.std(ddof=1) / math.sqrt(replicas) / z.mean())
@@ -258,16 +189,17 @@ def _moment_growth(logs: np.ndarray, theta: float, horizon: int) -> MomentGrowth
                                 theta=theta, horizon=horizon, replicas=replicas)
 
 
-def estimate_lambda_theta(source, theta: float, horizon: int = 512,
+def estimate_lambda_theta(ens: EnvironmentEnsemble, theta: float, horizon: int = 512,
                           replicas: int = 256, seed: int = 0,
                           use_macro: bool = False) -> MomentGrowthEstimate:
     """Estimate the growth rate of E |product|^theta.
 
     The replica average of |R|^theta is formed in log space with a max shift,
-    so heavy replica weights never overflow.
+    so heavy replica weights never overflow; a rate that itself overflows a
+    float raises ValueError.
     """
     _check_theta(theta)
-    return _moment_growth(_sampled_log_norms(source, horizon, replicas, seed, use_macro),
+    return _moment_growth(_sampled_log_norms(ens, horizon, replicas, seed, use_macro),
                           theta, horizon)
 
 
@@ -302,8 +234,8 @@ def _growth_slope(logs: np.ndarray, step: float, horizon: int) -> DerivativeEsti
                               horizon=horizon, replicas=n)
 
 
-def lambda_prime_at_one(source, step: float = 0.1, horizon: int = 512,
-                        replicas: int = 256, seed: int = 0,
+def lambda_prime_at_one(ens: EnvironmentEnsemble, step: float = 0.1,
+                        horizon: int = 512, replicas: int = 256, seed: int = 0,
                         use_macro: bool = False) -> DerivativeEstimate:
     """Central difference of the log moment growth rate at exponent 1.
 
@@ -312,7 +244,7 @@ def lambda_prime_at_one(source, step: float = 0.1, horizon: int = 512,
     jackknife over replicas.
     """
     _check_step(step)
-    return _growth_slope(_sampled_log_norms(source, horizon, replicas, seed, use_macro),
+    return _growth_slope(_sampled_log_norms(ens, horizon, replicas, seed, use_macro),
                          step, horizon)
 
 
@@ -409,7 +341,7 @@ def check_conditions(ens: EnvironmentEnsemble,
     p = params or ConditionParams()
     members = ens.members
     w = ens.weights
-    mats = [mo.mean_matrix(env) for env in members]
+    mats = _mean_matrices(members)
     norms = np.array([float(np.abs(m).sum()) for m in mats])
     row_sums = [m.sum(axis=1) for m in mats]
     perrons = [_quiet_perron(m) for m in mats]
@@ -421,7 +353,11 @@ def check_conditions(ens: EnvironmentEnsemble,
         checks.append(ConditionCheck(check_id, description, holds, values, note))
 
     # finite theta-moment of the mean matrix norm
-    moment = float(np.dot(w, norms ** p.theta))
+    with np.errstate(over="ignore"):
+        moment = float(np.dot(w, norms ** p.theta))
+    if not math.isfinite(moment):
+        raise ValueError(f"the theta={p.theta!r} moment of the mean matrix norm "
+                         "overflows a float")
     check("mean_norm_moment", True,
           {"value": moment, "member_norms": norms.tolist()},
           "finite mixtures always satisfy this")

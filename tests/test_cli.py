@@ -6,6 +6,7 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -256,13 +257,34 @@ def test_survival_rejects_replica_floor(capsys):
     (("conditions", "--theta", "nan"), "theta must be finite"),
     (("conditions", "--eps", "inf"), "eps must be finite"),
     (("conditions", "--alpha=-inf"), "alpha must be finite"),
+    (("lyapunov", "--config", "preset:supercritical", "--theta", "1e300",
+      "--horizon", "8", "--replicas", "8"),
+     "the theta=1e+300 moment growth rate overflows a float"),
+    (("scan", "--alpha", "1e-300", "--horizons", "2,4", "--replicas", "16"),
+     "the scaled column horizon**(1/alpha) overflows a float at alpha=1e-300"),
 ])
 def test_out_of_range_inputs_are_typed_errors(capsys, tmp_path, argv, message):
-    config = "preset:boom_bust" if argv[0] == "calibrate" else "preset:critical"
-    rc, out = run_cli(capsys, *argv, "--config", config, "--out", str(tmp_path))
+    if "--config" not in argv:
+        config = "preset:boom_bust" if argv[0] == "calibrate" else "preset:critical"
+        argv = (*argv, "--config", config)
+    rc, out = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert rc == 1
     assert json.loads(out) == {"error": {"type": "ValueError", "message": message}}
     assert not tmp_path.joinpath("manifest.json").exists()
+
+
+def test_overflowing_condition_moment_leaves_no_out_dir(capsys, tmp_path):
+    out_dir = tmp_path / "not-yet"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out = run_cli(capsys, "conditions", "--config", "preset:supercritical",
+                          "--theta", "1e4", "--horizon", "8", "--replicas", "8",
+                          "--out", str(out_dir))
+    assert rc == 1
+    assert json.loads(out) == {"error": {
+        "type": "ValueError",
+        "message": "the theta=10000.0 moment of the mean matrix norm overflows a float"}}
+    assert not out_dir.exists()
 
 
 def test_results_ignore_worker_count_end_to_end(capsys, tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sibdep import moments as mo
 from sibdep import simulator
 from sibdep.env_model import Environment, EnvironmentEnsemble, SiblingLaw
 from sibdep.errors import InsufficientSurvivorsError, PopulationCapError
@@ -680,3 +681,23 @@ def test_calibrated_two_member_scan_plateaus_early():
                                  replicas=10_000, seed=202)
     scaled = [r.scaled for r in rows]
     assert max(scaled) / min(scaled) <= 1.2
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP direction 1: the extinction-form quenched "
+                   "composition loses rows with small survival, so some exceed "
+                   "the first-moment bound; the survival form mends this")
+def test_quenched_rows_obey_the_first_moment_bound():
+    # P(survive to h | environment) <= e_1' M_1 ... M_h 1, with M_t the
+    # group-level mean matrix of generation t's member
+    w = 0.541046142578125
+    ens = EnvironmentEnsemble(load_preset("boom_bust").members, np.array([w, 1.0 - w]))
+    idx = ens.sample_index_array((512, 512), RngStream(3, 0).generator())
+    survival = _quenched_survival_rows(ens, idx, 1)
+    mats = np.stack([mo.macro_moments(env).mean for env in ens.members])
+    expected = np.zeros((idx.shape[0], ens.order))
+    expected[:, 0] = 1.0
+    for t in range(idx.shape[1]):
+        expected = np.einsum("ri,rij->rj", expected, mats[idx[:, t]])
+    bound = expected.sum(axis=1)
+    assert np.all(survival <= bound * (1.0 + 1e-12))

@@ -13,8 +13,7 @@ from sibdep.errors import CalibrationError, DegenerateProductError
 from sibdep.presets import load_preset
 from sibdep.spectral import (
     ConditionParams,
-    MatrixEnsemble,
-    ProductAccumulator,
+    _mean_matrices,
     calibrate_critical,
     calibrate_critical_pair,
     _indexed_log_norms,
@@ -33,51 +32,29 @@ CHECK_IDS = {
 }
 
 
-def test_matrix_ensemble_normalizes_and_freezes():
-    me = MatrixEnsemble(np.stack([np.eye(2), 2 * np.eye(2)]), [2.0, 6.0])
-    assert me.size == 2 and me.order == 2
-    np.testing.assert_allclose(me.weights, [0.25, 0.75])
-    with pytest.raises(ValueError):
-        me.matrices[0, 0, 0] = 9.0
-
-
-def test_matrix_ensemble_rejects_bad_input():
-    with pytest.raises(ValueError, match=r"\(K, N, N\)"):
-        MatrixEnsemble(np.ones((2, 2, 3)), [0.5, 0.5])
-    with pytest.raises(ValueError, match="weights"):
-        MatrixEnsemble(np.ones((2, 2, 2)), [1.0])
-    with pytest.raises(ValueError, match="nonnegative"):
-        MatrixEnsemble(np.ones((2, 2, 2)), [1.0, -0.5])
-    with pytest.raises(ValueError, match="finite"):
-        MatrixEnsemble(np.full((1, 2, 2), np.inf), [1.0])
-    with pytest.raises(ValueError, match="nonnegative"):
-        MatrixEnsemble(np.array([[[1.0, -0.5], [0.0, 1.0]]]), [1.0])
-
-
-def test_from_environments_micro_and_macro(ab_equal):
-    me = MatrixEnsemble.from_environments(ab_equal)
-    np.testing.assert_allclose(me.matrices[0], mo.mean_matrix(ab_equal.members[0]))
-    np.testing.assert_allclose(me.matrices[1], mo.mean_matrix(ab_equal.members[1]))
-    mg = MatrixEnsemble.from_environments(ab_equal, macro=True)
-    np.testing.assert_allclose(
-        mg.matrices[0], mo.macro_moments(ab_equal.members[0]).mean)
+def test_mean_matrices_micro_and_macro(ab_equal):
+    mats = _mean_matrices(ab_equal.members)
+    assert mats.shape == (2, 2, 2)
+    np.testing.assert_allclose(mats[0], mo.mean_matrix(ab_equal.members[0]))
+    np.testing.assert_allclose(mats[1], mo.mean_matrix(ab_equal.members[1]))
+    macro = _mean_matrices(ab_equal.members, macro=True)
+    np.testing.assert_allclose(macro[0], mo.macro_moments(ab_equal.members[0]).mean)
 
 
 def test_accumulator_tracks_exact_product():
     a = np.array([[1.0, 2.0], [0.5, 1.0]])
     b = np.array([[0.25, 0.0], [1.0, 3.0]])
-    acc = ProductAccumulator.identity(2).step(a).step(b)
-    np.testing.assert_allclose(acc.matrix(), a @ b, rtol=1e-14)
-    assert acc.log_norm() == pytest.approx(math.log(np.abs(a @ b).sum()), rel=1e-14)
-    assert acc.steps == 2
-    # renormalized state keeps unit entrywise-abs sum
-    assert np.abs(acc.current).sum() == pytest.approx(1.0)
+    got = product_lognorm([a, b])
+    assert isinstance(got, float)
+    assert got == pytest.approx(math.log(np.abs(a @ b).sum()), rel=1e-14)
 
 
 def test_accumulator_raises_on_collapse():
-    acc = ProductAccumulator.identity(2)
     with pytest.raises(DegenerateProductError) as exc:
-        acc.step(np.zeros((2, 2)))
+        product_lognorm([np.eye(2), np.zeros((2, 2)), np.eye(2)])
+    assert exc.value.steps == 2
+    with pytest.raises(DegenerateProductError) as exc:
+        product_lognorm([np.zeros((2, 2))])
     assert exc.value.steps == 1
 
 
@@ -104,7 +81,7 @@ def _indexed_products(draw):
 def test_indexed_log_norms_match_reference_product(case):
     mats, idx = case
     got = _indexed_log_norms(mats, idx)
-    want = [product_lognorm(mats[row])[0] for row in idx]
+    want = [product_lognorm(mats[row]) for row in idx]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -120,9 +97,8 @@ def test_indexed_log_norms_report_collapse_step_quietly():
 
 def test_product_lognorm_on_environments(rich, lean):
     m = mo.mean_matrix(rich) @ mo.mean_matrix(lean)
-    val, acc = product_lognorm([rich, lean])
+    val = product_lognorm([rich, lean])
     assert val == pytest.approx(math.log(np.abs(m).sum()), rel=1e-13)
-    assert acc.steps == 2
     with pytest.raises(ValueError, match="at least one factor"):
         product_lognorm([])
     with pytest.raises(ValueError, match="macro"):
@@ -132,7 +108,7 @@ def test_product_lognorm_on_environments(rich, lean):
 def test_single_member_growth_is_deterministic(rich_only, rich):
     horizon = 64
     est = estimate_lyapunov(rich_only, horizon=horizon, replicas=8, seed=0)
-    exact, _ = product_lognorm([rich] * (horizon + 1))
+    exact = product_lognorm([rich] * (horizon + 1))
     assert est.stderr == 0.0
     assert est.value == pytest.approx(exact / horizon, rel=1e-12)
     assert est.to_dict() == {"value": est.value, "stderr": 0.0,
