@@ -55,7 +55,6 @@ from .spectral import (
     DerivativeEstimate,
     GrowthEstimate,
     MomentGrowthEstimate,
-    calibrate_critical,
     calibrate_critical_pair,
     check_conditions,
     estimate_lambda_theta,
@@ -131,7 +130,6 @@ __all__ = [
     "ConditionReport",
     "check_conditions",
     "CalibrationResult",
-    "calibrate_critical",
     "calibrate_critical_pair",
     # simulation
     "MacroState",

@@ -50,7 +50,7 @@ from .simulator import (
     log_population_path,
     survival_scaling_scan,
 )
-from .spectral import ConditionParams, calibrate_critical, check_conditions
+from .spectral import ConditionParams, calibrate_critical_pair, check_conditions
 
 PRESET_PREFIX = "preset:"
 
@@ -270,10 +270,10 @@ def cmd_calibrate(ens: EnvironmentEnsemble, ns):
             "calibrate needs a two-member ensemble "
             "(member 0 expanding, member 1 contracting); "
             f"config has {ens.size}")
-    result = calibrate_critical(ens.members[0], ens.members[1],
-                                tol=ns.tol, horizon=ns.horizon,
-                                replicas=ns.replicas, seed=ns.seed,
-                                max_iter=ns.max_iter)
+    result = calibrate_critical_pair(ens.members[0], ens.members[1],
+                                     tol=ns.tol, horizon=ns.horizon,
+                                     replicas=ns.replicas, seed=ns.seed,
+                                     max_iter=ns.max_iter)
     table = (["step", "weight", "growth", "stderr"],
              [(i, w, v, s) for i, (w, v, s) in enumerate(result.trace)])
     return result.to_dict(), table, (

@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EnsembleFormatError, InvalidLawError
+from .records import Record
 
 # Probability data must balance to this tolerance before the single
 # renormalization applied at construction time.
@@ -120,7 +121,7 @@ class SiblingLaw:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Outcome of the numeric checks on one sibling law."""
 
     group_size: int
@@ -156,16 +157,7 @@ class ValidationReport:
         return lines
 
     def to_dict(self) -> dict:
-        return {
-            "group_size": self.group_size,
-            "atom_count": self.atom_count,
-            "weight_sum": self.weight_sum,
-            "normalization_defect": self.normalization_defect,
-            "out_of_range": [[i, list(t)] for i, t in self.out_of_range],
-            "negative_weights": [[i, w] for i, w in self.negative_weights],
-            "nonfinite_weights": [[i, w] for i, w in self.nonfinite_weights],
-            "ok": self.ok,
-        }
+        return {**super().to_dict(), "ok": self.ok}
 
 
 def validate_sibling_law(law: SiblingLaw) -> ValidationReport:

@@ -543,6 +543,9 @@ def log_population_path(ens: EnvironmentEnsemble, initial_type: int, horizon: in
         raise ValueError("horizon must be at least 1")
     _check_alpha(alpha)
     scale = horizon ** (-1.0 / alpha)
+    if scale == 0.0:
+        raise ValueError("the path scale horizon**(-1/alpha) underflows to 0 "
+                         f"at alpha={alpha!r}")
 
     def task(gen, size):
         # per generation, the ids and log sizes of the replicas live after it

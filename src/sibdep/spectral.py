@@ -1,18 +1,18 @@
 """Random products of mean matrices: growth rates, moment growth, diagnostics.
 
-The estimators take an EnvironmentEnsemble and draw one member per product
-step; its mean matrices (group-level ones under the macro flag) are the
-factors.  Throughout, |m| is the entrywise absolute sum of a matrix; factors
-are nonnegative, so the norm of a product is also 1' m 1.  Every product is
+The estimators and the calibration take environments; the product kernel
+_indexed_log_norms and its plain reference product_lognorm take matrices.
+_mean_matrices is the one crossing between the two: it stacks the members'
+mean matrices (group-level ones under the macro flag).  Every sampled
+product draws its members through EnvironmentEnsemble.sample_index_array.
+Throughout, |m| is the entrywise absolute sum of a matrix; mean matrices are
+nonnegative, so the norm of a product is also 1' m 1.  Every product is
 renormalized after each factor, so only the log of the scale grows and
-overflow never occurs.  product_lognorm multiplies one explicit sequence;
-_indexed_log_norms, the kernel the estimators and the calibration share,
-carries many sampled products at once.  Estimator horizons follow the
-product index: horizon n covers the product of n + 1 independently drawn
-factors and growth is normalized by 1/n.  Replica work runs through
-rng.run_chunked in chunks of a fixed 4096 replicas, one stream per chunk, so
-seeded results do not depend on the worker count, which only the
-SIBDEP_WORKERS environment variable sets.
+overflow never occurs.  Estimator horizons follow the product index: horizon
+n covers the product of n + 1 independently drawn factors and growth is
+normalized by 1/n.  Replica work runs through rng.run_chunked in chunks of a
+fixed 4096 replicas, one stream per chunk, so seeded results do not depend
+on the worker count, which only the SIBDEP_WORKERS environment variable sets.
 """
 
 from __future__ import annotations
@@ -39,22 +39,14 @@ def _mean_matrices(envs, macro: bool = False) -> np.ndarray:
     return np.stack([mo.mean_matrix(env) for env in envs])
 
 
-def product_lognorm(sequence, use_macro: bool = False) -> float:
-    """Log norm of the right product over an explicit factor sequence.
+def product_lognorm(mats) -> float:
+    """Log norm of the right product over an explicit sequence of matrices.
 
     The plain one-factor-at-a-time reference for the batched kernel below.
-    The sequence may hold environments (their mean matrices are used; the
-    macro flag switches to group-level means) or raw square matrices.
     """
-    factors = list(sequence)
-    if not factors:
+    mats = [np.asarray(m, dtype=float) for m in mats]
+    if not mats:
         raise ValueError("need at least one factor")
-    if isinstance(factors[0], Environment):
-        mats = _mean_matrices(factors, macro=use_macro)
-    elif use_macro:
-        raise ValueError("macro view is only defined for environment sequences")
-    else:
-        mats = [np.asarray(f, dtype=float) for f in factors]
     current = np.eye(mats[0].shape[0])
     log_scale = 0.0
     for k, m in enumerate(mats, start=1):
@@ -107,13 +99,10 @@ def _sampled_log_norms(ens: EnvironmentEnsemble, horizon, replicas, seed, use_ma
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     mats = _mean_matrices(ens.members, macro=use_macro)
-    # renormalized once more: the member probabilities the seeded draws were made with
-    p = ens.weights / ens.weights.sum()
     factors = horizon + 1
 
     def task(gen, size):
-        idx = gen.choice(ens.size, size=(size, factors), p=p)
-        return _indexed_log_norms(mats, idx)
+        return _indexed_log_norms(mats, ens.sample_index_array((size, factors), gen))
 
     return run_chunked(task, replicas, seed)
 
@@ -303,6 +292,16 @@ class ConditionReport(Record):
         return out
 
 
+def _finite_moment(terms, weights, what: str) -> float:
+    """The weighted sum of a thunk's terms, computed quietly; a ValueError
+    naming the moment and its exponents when it is not finite."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        value = float(np.dot(weights, terms()))
+    if not math.isfinite(value):   # a NaN fails too
+        raise ValueError(f"the {what} overflows a float")
+    return value
+
+
 def _quiet_perron(mat):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -353,11 +352,8 @@ def check_conditions(ens: EnvironmentEnsemble,
         checks.append(ConditionCheck(check_id, description, holds, values, note))
 
     # finite theta-moment of the mean matrix norm
-    with np.errstate(over="ignore"):
-        moment = float(np.dot(w, norms ** p.theta))
-    if not math.isfinite(moment):
-        raise ValueError(f"the theta={p.theta!r} moment of the mean matrix norm "
-                         "overflows a float")
+    moment = _finite_moment(lambda: norms ** p.theta, w,
+                            f"theta={p.theta!r} moment of the mean matrix norm")
     check("mean_norm_moment", True,
           {"value": moment, "member_norms": norms.tolist()},
           "finite mixtures always satisfy this")
@@ -434,13 +430,15 @@ def check_conditions(ens: EnvironmentEnsemble,
         check("log_curvature_moment", False, {}, str(exc))
     else:
         check("curvature_ratio_moment", True,
-              {"value": float(np.dot(w, curv ** (1.0 + p.eps))),
+              {"value": _finite_moment(lambda: curv ** (1.0 + p.eps), w,
+                                       f"eps={p.eps!r} curvature ratio moment"),
                "member_ratios": curv.tolist()})
         if np.any(curv == 0.0):
             check("log_curvature_moment", False, {"member_ratios": curv.tolist()},
                   "a member has no second-order mass, so the log diverges")
         else:
-            val = float(np.dot(w, np.abs(np.log(curv)) ** (1.0 + p.eps) * norms))
+            val = _finite_moment(lambda: np.abs(np.log(curv)) ** (1.0 + p.eps) * norms,
+                                 w, f"eps={p.eps!r} log curvature moment")
             check("log_curvature_moment", True,
                   {"value": val, "member_ratios": curv.tolist()})
 
@@ -495,7 +493,8 @@ def check_conditions(ens: EnvironmentEnsemble,
         with np.errstate(divide="ignore", invalid="ignore"):
             scaled = np.where(deltas > 0.0, deltas / rhos ** 2, 0.0)
             logplus = np.where(scaled > 1.0, np.log(scaled), 0.0)
-        val = float(np.dot(w, logplus ** (p.alpha + p.eps)))
+        val = _finite_moment(lambda: logplus ** (p.alpha + p.eps), w,
+                             f"alpha={p.alpha!r}, eps={p.eps!r} variance tail moment")
         check("variance_tail_moment", True,
               {"value": val, "member_deltas": deltas.tolist()})
 
@@ -516,11 +515,11 @@ class CalibrationResult(Record):
     seed: int
 
 
-def calibrate_critical_pair(mat_super: np.ndarray, mat_sub: np.ndarray,
+def calibrate_critical_pair(env_super: Environment, env_sub: Environment,
                             tol: float = 1e-3, horizon: int = 2000,
                             replicas: int = 512, seed: int = 0,
                             max_iter: int = 60) -> CalibrationResult:
-    """Bisect the mixture weight between two matrices until growth vanishes.
+    """Bisect the mixture weight between two environments until growth vanishes.
 
     The same uniform draws decide the member choice at every trial weight, so
     the estimated growth is a deterministic, nearly monotone function of the
@@ -535,12 +534,9 @@ def calibrate_critical_pair(mat_super: np.ndarray, mat_sub: np.ndarray,
         raise ValueError("tol must be positive and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    mats = np.stack([np.asarray(mat_sub, dtype=float),
-                     np.asarray(mat_super, dtype=float)])
-    if mats.shape[1] != mats.shape[2]:
-        raise ValueError("matrices must be square")
-    if np.any(mats < 0.0):
-        raise ValueError("matrix entries must be nonnegative")
+    if env_super.order != env_sub.order:
+        raise ValueError(f"orders differ: {env_super.order} and {env_sub.order}")
+    mats = _mean_matrices((env_sub, env_super))
     factors = horizon + 1
     gen = RngStream(seed, 0).generator()
     uniforms = gen.random((replicas, factors))
@@ -577,16 +573,4 @@ def calibrate_critical_pair(mat_super: np.ndarray, mat_sub: np.ndarray,
     raise CalibrationError(
         f"bisection did not reach |growth| <= {tol} within {max_iter} iterations",
         trace=trace,
-    )
-
-
-def calibrate_critical(env_super: Environment, env_sub: Environment,
-                       tol: float = 1e-3, horizon: int = 2000,
-                       replicas: int = 512, seed: int = 0,
-                       max_iter: int = 60) -> CalibrationResult:
-    """Find the two-point mixture of environments with zero growth rate."""
-    return calibrate_critical_pair(
-        mo.mean_matrix(env_super), mo.mean_matrix(env_sub),
-        tol=tol, horizon=horizon, replicas=replicas, seed=seed,
-        max_iter=max_iter,
     )

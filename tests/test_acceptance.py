@@ -28,7 +28,7 @@ from sibdep.simulator import (
 )
 from sibdep.spectral import (
     ConditionParams,
-    calibrate_critical,
+    calibrate_critical_pair,
     check_conditions,
     estimate_lambda_theta,
 )
@@ -192,8 +192,8 @@ def test_c09_calibrated_critical_scaling_plateau():
                                 "sqrt(n)-scaled survival within a 1.2 ratio"):
         ens = load_preset("boom_bust")
         boom, bust = ens.members
-        res = calibrate_critical(boom, bust, tol=2e-5, horizon=20_000,
-                                 replicas=2048, seed=0)
+        res = calibrate_critical_pair(boom, bust, tol=2e-5, horizon=20_000,
+                                      replicas=2048, seed=0)
         assert abs(res.growth.value) <= 1e-3
         assert res.weight == pytest.approx(0.541046142578125, abs=1e-12)
         mix = EnvironmentEnsemble((boom, bust),

@@ -262,6 +262,11 @@ def test_survival_rejects_replica_floor(capsys):
      "the theta=1e+300 moment growth rate overflows a float"),
     (("scan", "--alpha", "1e-300", "--horizons", "2,4", "--replicas", "16"),
      "the scaled column horizon**(1/alpha) overflows a float at alpha=1e-300"),
+    (("conditions", "--eps", "1e4", "--horizon", "8", "--replicas", "8"),
+     "the eps=10000.0 log curvature moment overflows a float"),
+    (("paths", "--config", "preset:supercritical", "--alpha", "1e-300",
+      "--horizon", "8", "--replicas", "64"),
+     "the path scale horizon**(-1/alpha) underflows to 0 at alpha=1e-300"),
 ])
 def test_out_of_range_inputs_are_typed_errors(capsys, tmp_path, argv, message):
     if "--config" not in argv:

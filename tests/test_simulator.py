@@ -601,6 +601,16 @@ def test_path_scale_and_cap():
         log_population_path(only(dead_end_env()), 1, 4, replicas=8, seed=0)
 
 
+@pytest.mark.parametrize("alpha", [1e-300, 5e-324])
+def test_path_scale_underflow_fails_before_any_draw(monkeypatch, alpha):
+    def no_draws(*args):
+        raise AssertionError("the scale check must come before any draw")
+
+    monkeypatch.setattr("sibdep.simulator.run_chunked", no_draws)
+    with pytest.raises(ValueError, match=rf"underflows to 0 at alpha={alpha!r}$"):
+        log_population_path(load_preset("supercritical"), 1, 8, replicas=64, alpha=alpha)
+
+
 def test_path_memory_follows_live_rows():
     """One chunk of the critical run keeps only live rows' log sizes: a dense
     (replicas, horizon + 1) float array alone would take 16.8 MB."""

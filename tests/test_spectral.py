@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sibdep import moments as mo
-from sibdep.env_model import EnvironmentEnsemble
+from sibdep.env_model import Environment, EnvironmentEnsemble, SiblingLaw
 from sibdep.errors import CalibrationError, DegenerateProductError
 from sibdep.presets import load_preset
 from sibdep.spectral import (
     ConditionParams,
     _mean_matrices,
-    calibrate_critical,
     calibrate_critical_pair,
     _indexed_log_norms,
     check_conditions,
@@ -97,18 +96,16 @@ def test_indexed_log_norms_report_collapse_step_quietly():
 
 def test_product_lognorm_on_environments(rich, lean):
     m = mo.mean_matrix(rich) @ mo.mean_matrix(lean)
-    val = product_lognorm([rich, lean])
+    val = product_lognorm(_mean_matrices([rich, lean]))
     assert val == pytest.approx(math.log(np.abs(m).sum()), rel=1e-13)
     with pytest.raises(ValueError, match="at least one factor"):
         product_lognorm([])
-    with pytest.raises(ValueError, match="macro"):
-        product_lognorm([np.eye(2)], use_macro=True)
 
 
 def test_single_member_growth_is_deterministic(rich_only, rich):
     horizon = 64
     est = estimate_lyapunov(rich_only, horizon=horizon, replicas=8, seed=0)
-    exact = product_lognorm([rich] * (horizon + 1))
+    exact = product_lognorm(_mean_matrices([rich] * (horizon + 1)))
     assert est.stderr == 0.0
     assert est.value == pytest.approx(exact / horizon, rel=1e-12)
     assert est.to_dict() == {"value": est.value, "stderr": 0.0,
@@ -215,6 +212,28 @@ def test_condition_report_lookup_and_text(critical_pair):
     assert any("zero_growth" in ln and "holds" in ln for ln in lines)
 
 
+def _sparse_env(p: float) -> Environment:
+    """Two types; every group has no children, or two per member with chance p."""
+    return Environment(2, (SiblingLaw(1, 2, (((0,), 1.0 - p), ((2,), p))),
+                           SiblingLaw(2, 2, (((0, 0), 1.0 - p), ((2, 2), p)))))
+
+
+@pytest.mark.parametrize("ens, params, message", [
+    ("critical", {"eps": -1e4}, "the eps=-10000.0 curvature ratio moment overflows a float"),
+    ("critical", {"eps": 1e4}, "the eps=10000.0 log curvature moment overflows a float"),
+    # count variance 0.36 against a dominant root 0.2: log+ of the ratio is log 9 > 1
+    ("sparse", {"alpha": 1e3},
+     "the alpha=1000.0, eps=0.1 variance tail moment overflows a float"),
+])
+def test_overflowing_condition_moments_are_quiet_typed_errors(ens, params, message):
+    ens = (load_preset(ens) if ens != "sparse"
+           else EnvironmentEnsemble((_sparse_env(0.1),), np.array([1.0])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_conditions(ens, ConditionParams(horizon=8, replicas=8, **params))
+
+
 def test_zero_growth_holds_on_critical_preset_across_seeds():
     ens = load_preset("critical")
     for seed in range(50):
@@ -230,8 +249,8 @@ def test_zero_growth_fails_on_subcritical_pair(ab_sub):
 
 def test_calibration_stops_at_midpoint_for_balanced_pair(critical_pair):
     flood, ebb = critical_pair.members
-    res = calibrate_critical(flood, ebb, tol=1e-2, horizon=500,
-                             replicas=256, seed=2)
+    res = calibrate_critical_pair(flood, ebb, tol=1e-2, horizon=500,
+                                  replicas=256, seed=2)
     assert res.weight == 0.5
     assert res.iterations == 1
     assert abs(res.growth.value) <= 1e-2
@@ -241,7 +260,7 @@ def test_calibration_stops_at_midpoint_for_balanced_pair(critical_pair):
 
 def test_calibration_requires_a_bracket(lean):
     with pytest.raises(CalibrationError, match="bracket") as exc:
-        calibrate_critical(lean, lean, horizon=200, replicas=64, seed=0)
+        calibrate_critical_pair(lean, lean, horizon=200, replicas=64, seed=0)
     trace = exc.value.trace
     assert len(trace) == 2
     assert all(value < 0.0 for _, value, _ in trace)
@@ -250,10 +269,10 @@ def test_calibration_requires_a_bracket(lean):
 def test_calibration_on_boom_bust_preset():
     ens = load_preset("boom_bust")
     boom, bust = ens.members
-    res = calibrate_critical(boom, bust, tol=5e-3, horizon=800,
-                             replicas=256, seed=0)
-    again = calibrate_critical(boom, bust, tol=5e-3, horizon=800,
-                               replicas=256, seed=0)
+    res = calibrate_critical_pair(boom, bust, tol=5e-3, horizon=800,
+                                  replicas=256, seed=0)
+    again = calibrate_critical_pair(boom, bust, tol=5e-3, horizon=800,
+                                    replicas=256, seed=0)
     assert 0.0 < res.weight < 1.0
     assert abs(res.growth.value) <= 5e-3
     assert res.weight == again.weight
@@ -267,9 +286,20 @@ def test_calibration_on_boom_bust_preset():
     ({"horizon": -3}, "horizon must be at least 1"),
     ({"replicas": 0}, "replicas must be positive"),
 ])
-def test_calibration_rejects_empty_samples(sample, message):
+def test_calibration_rejects_empty_samples(rich, lean, sample, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        calibrate_critical_pair(2.0 * np.eye(2), 0.5 * np.eye(2), **sample)
+        calibrate_critical_pair(rich, lean, **sample)
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    from sibdep import spectral
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(spectral.RngStream, "generator", no_draws)
+    monkeypatch.setattr(spectral, "_indexed_log_norms", no_draws)
 
 
 @pytest.mark.parametrize("budget, message", [
@@ -280,21 +310,13 @@ def test_calibration_rejects_empty_samples(sample, message):
     ({"max_iter": 0}, "max_iter must be at least 1"),
     ({"max_iter": -2}, "max_iter must be at least 1"),
 ])
-def test_calibration_rejects_a_bad_budget_before_any_draw(monkeypatch, budget, message):
-    from sibdep import spectral
-
-    def no_draws(*args, **kwargs):
-        raise AssertionError("a draw was made")
-
-    monkeypatch.setattr(spectral.RngStream, "generator", no_draws)
-    monkeypatch.setattr(spectral, "_indexed_log_norms", no_draws)
+def test_calibration_rejects_a_bad_budget_before_any_draw(no_draws, rich, lean,
+                                                         budget, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        calibrate_critical_pair(2.0 * np.eye(2), 0.5 * np.eye(2), horizon=50,
-                                replicas=8, **budget)
+        calibrate_critical_pair(rich, lean, horizon=50, replicas=8, **budget)
 
 
-def test_calibration_matrix_validation():
-    with pytest.raises(ValueError, match="square"):
-        calibrate_critical_pair(np.ones((2, 3)), np.ones((2, 3)))
-    with pytest.raises(ValueError, match="nonnegative"):
-        calibrate_critical_pair(np.array([[2.0, -1.0], [0.0, 2.0]]), 0.5 * np.eye(2))
+def test_calibration_rejects_a_pair_of_different_orders_before_any_draw(no_draws, rich):
+    line = load_preset("deterministic_line").members[0]
+    with pytest.raises(ValueError, match="^orders differ: 2 and 1$"):
+        calibrate_critical_pair(rich, line, horizon=50, replicas=8)
