@@ -354,7 +354,10 @@ def _add_command(sub, name: str, help: str, compute,
     return sp
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; every parse makes a fresh namespace and
+    converts the string defaults anew, so the parser keeps no state per call."""
     parser = argparse.ArgumentParser(
         prog="sibdep",
         description="Branching populations with within-group offspring "

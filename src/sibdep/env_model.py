@@ -597,7 +597,9 @@ def ensemble_from_dict(doc: Mapping) -> EnvironmentEnsemble:
             raise EnsembleFormatError(f"{where_env}.label: must be a string")
         try:
             members.append(Environment(order, tuple(laws), label=label))
-        except (ValueError, InvalidLawError) as exc:
+        except InvalidLawError as exc:   # keeps the per-law reports that validate prints
+            raise InvalidLawError(f"{where_env}: {exc}", report=exc.report) from exc
+        except ValueError as exc:
             raise type(exc)(f"{where_env}: {exc}") from exc
         weights.append(float(weight))
 

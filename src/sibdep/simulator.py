@@ -358,8 +358,10 @@ def survival_scaling_scan(ens: EnvironmentEnsemble, initial_type: int,
     try:
         scales = [h ** (1.0 / alpha) for h in hs]
     except OverflowError:
+        scales = [math.inf]
+    if not math.isfinite(max(scales)):   # a subnormal alpha makes 1/alpha inf, and no error
         raise ValueError("the scaled column horizon**(1/alpha) overflows a float "
-                         f"at alpha={alpha!r}") from None
+                         f"at alpha={alpha!r}")
     longest = hs[-1]
 
     def task(gen, size):

@@ -8,9 +8,11 @@ product draws its members through EnvironmentEnsemble.sample_index_array.
 Throughout, |m| is the entrywise absolute sum of a matrix; mean matrices are
 nonnegative, so the norm of a product is also 1' m 1.  Every product is
 renormalized after each factor, so only the log of the scale grows and
-overflow never occurs.  Estimator horizons follow the product index: horizon
-n covers the product of n + 1 independently drawn factors and growth is
-normalized by 1/n.  Replica work runs through rng.run_chunked in chunks of a
+overflow never occurs; the kernel walks the factors in blocks of _BLOCK
+with one finiteness check per block, and the calibration evaluates its two
+bracket weights in one call.  Estimator horizons follow the product index:
+horizon n covers the product of n + 1 independently drawn factors and growth
+is normalized by 1/n.  Replica work runs through rng.run_chunked in chunks of a
 fixed 4096 replicas, one stream per chunk, so seeded results do not depend
 on the worker count, which only the SIBDEP_WORKERS environment variable sets.
 """
@@ -60,13 +62,21 @@ def product_lognorm(mats) -> float:
     return log_scale + math.log(float(np.abs(current).sum()))
 
 
+_BLOCK = 8   # factor steps per block; longer blocks cost more in working set than they save
+
+
 def _indexed_log_norms(mats: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Log product norms for many index rows at once; one renormalization per step.
 
     The factors are nonnegative, so |M_1 ... M_n| = 1' M_1 ... M_n 1 and each
     row only carries the row vector 1' M_1 ... M_k.  The members sit side by
     side in one (N, K*N) matrix: a step multiplies every row by all of them at
-    once and keeps, per row, the block of the member its index selects.
+    once and keeps, per row, the block of the member its index selects.  The
+    factors run in blocks of _BLOCK: a block's gather positions are formed at
+    once, every step writes into buffers made once per call, and finiteness
+    is checked on the running logs once per block.  That check misses no
+    collapse: a norm of 0 or inf leaves its row's log at -inf, inf or NaN for
+    good, and the block's logged scales name the first such step.
     """
     rows, length = idx.shape
     size, order = mats.shape[0], mats.shape[1]
@@ -75,21 +85,30 @@ def _indexed_log_norms(mats: np.ndarray, idx: np.ndarray) -> np.ndarray:
     ones = np.ones(order)
     x = np.ones((rows, order))
     y = np.empty((rows, size * order))
-    blocks = y.reshape(rows * size, order)
+    take = y.reshape(rows * size, order).take
     scale = np.empty(rows)
+    col = scale[:, None]
     logs = np.zeros(rows)
+    pos = np.empty((_BLOCK, rows), dtype=np.intp)   # a block's gather positions
+    buf = np.empty((_BLOCK, rows))                  # and its logged scales
+    steps = list(zip(pos, buf))
+    matmul, log, divide, add = np.matmul, np.log, np.divide, np.add
     with np.errstate(divide="ignore", invalid="ignore"):   # log(0) is caught below
-        for k in range(length):
-            np.matmul(x, wide, out=y)
-            np.take(blocks, offsets + idx[:, k], axis=0, out=x)
-            np.matmul(x, ones, out=scale)   # row sums; far cheaper than x.sum(axis=1)
-            log_scale = np.log(scale)
-            if not math.isfinite(log_scale.sum()):
+        for k0 in range(0, length, _BLOCK):
+            n = min(_BLOCK, length - k0)
+            add(idx[:, k0:k0 + n].T, offsets, out=pos[:n])
+            for at, log_scale in steps[:n]:
+                matmul(x, wide, out=y)
+                take(at, axis=0, out=x)
+                matmul(x, ones, out=scale)   # row sums; far cheaper than x.sum(axis=1)
+                log(scale, out=log_scale)
+                divide(x, col, out=x)
+                add(logs, log_scale, out=logs)
+            if not math.isfinite(logs.sum()):
+                k = k0 + int(np.argmin(np.isfinite(buf[:n]).all(axis=1))) + 1
                 raise DegenerateProductError(
-                    f"a replica's product norm collapsed at step {k + 1}", steps=k + 1
+                    f"a replica's product norm collapsed at step {k}", steps=k
                 )
-            x /= scale[:, None]
-            logs += log_scale
     return logs
 
 
@@ -545,9 +564,16 @@ def calibrate_critical_pair(env_super: Environment, env_sub: Environment,
         idx = uniforms < weight   # True selects the expanding member
         return _growth_rate(_indexed_log_norms(mats, idx), horizon)
 
+    # At weights 1 and 0 every row is the same product, so one row each will do,
+    # in one call.  A lone replica is the exception: numpy hands a one-row
+    # product to BLAS routines that round differently, so it keeps a call each.
+    ends = np.zeros((2, factors), dtype=bool)
+    ends[0] = True
+    top_log, bottom_log = (_indexed_log_norms(mats, ends) if replicas > 1 else
+                           [_indexed_log_norms(mats, ends[k:k + 1])[0] for k in (0, 1)])
+    top = _growth_rate(np.full(replicas, top_log), horizon)
+    bottom = _growth_rate(np.full(replicas, bottom_log), horizon)
     trace: list[tuple[float, float, float]] = []
-    top = growth_at(1.0)
-    bottom = growth_at(0.0)
     trace.append((0.0, bottom.value, bottom.stderr))
     trace.append((1.0, top.value, top.stderr))
     if not (top.value > 0.0 > bottom.value):

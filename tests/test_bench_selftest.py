@@ -17,15 +17,19 @@ def test_bench_checks_pass_their_selftest():
     assert "19 of 19" in done.stdout, done.stdout
 
 
-def test_bench_tracer_installs_and_restores_every_layer():
-    # a renamed or deleted layer name fails install() here, not only in a traced run
+def load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_bench_tracer_installs_and_restores_every_layer():
+    # a renamed or deleted layer name fails install() here, not only in a traced run
     from sibdep import spectral
 
     kernel = spectral._indexed_log_norms
-    tracer = spans.Tracer()
+    tracer = load_spans().Tracer()
     try:   # a half-done install is undone too
         tracer.install()
         patched = list(tracer._patches)
@@ -36,6 +40,26 @@ def test_bench_tracer_installs_and_restores_every_layer():
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, (owner, attr)
     assert spectral._indexed_log_norms is kernel
+
+
+def test_bench_tracer_sees_every_calibration_kernel_call():
+    # the brackets take one kernel call and each bisection step one more; a
+    # local alias of the kernel would hide calls from spectral.log_norms
+    from sibdep import spectral
+    from sibdep.presets import load_preset
+
+    boom, bust = load_preset("boom_bust").members
+    tracer = load_spans().Tracer()
+    try:
+        tracer.install()
+        res = spectral.calibrate_critical_pair(boom, bust, tol=5e-2, horizon=40,
+                                               replicas=16, seed=0)
+    finally:
+        tracer.uninstall()
+    calls, _ = tracer.self_times()
+    assert res.iterations >= 1
+    assert calls["spectral.log_norms"] == res.iterations + 1
+    assert tracer.counts["spectral.calibrate.iterations"] == res.iterations
 
 
 def test_bench_worker_saves_one_coupled_operation():

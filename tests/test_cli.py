@@ -89,16 +89,27 @@ def test_validate_accepts_bundled_config(capsys):
     assert all(law["ok"] for m in doc["members"] for law in m["laws"])
 
 
-def test_validate_reports_weight_defect(capsys, tmp_path):
+@pytest.mark.parametrize("atoms, defect, line", [
+    ([{"tuple": [1], "weight": 1.1}], "normalization_defect", "defect"),
+    ([{"tuple": [1], "weight": 1.5}, {"tuple": [0], "weight": -0.5}], "negative_weights",
+     "negative weight -0.5"),
+    ([{"tuple": [2], "weight": 1.0}], "out_of_range", "outside 0..order"),
+])
+def test_validate_prints_the_per_law_reports(capsys, tmp_path, atoms, defect, line):
     doc = read_json(preset_path("deterministic_line"))
-    doc["environments"][0]["laws"][0]["atoms"][0]["weight"] = 1.1
+    doc["environments"][0]["laws"][0]["atoms"] = atoms
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
     rc, out = run_cli(capsys, "validate", "--config", str(bad))
     report = json.loads(out)
     assert rc == 1
     assert report["ok"] is False
-    assert "defect" in report["error"]
+    assert report["error"].startswith("environments[0]: environment line rejected")
+    assert line in report["error"]
+    law = report["reports"]["1"]
+    assert law["group_size"] == 1
+    assert law["ok"] is False
+    assert law[defect]
 
 
 def test_unreadable_configs_exit_2(capsys, tmp_path):
@@ -267,6 +278,8 @@ def test_survival_rejects_replica_floor(capsys):
     (("paths", "--config", "preset:supercritical", "--alpha", "1e-300",
       "--horizon", "8", "--replicas", "64"),
      "the path scale horizon**(-1/alpha) underflows to 0 at alpha=1e-300"),
+    (("scan", "--alpha", "5e-324", "--horizons", "2,4", "--replicas", "16"),
+     "the scaled column horizon**(1/alpha) overflows a float at alpha=5e-324"),
 ])
 def test_out_of_range_inputs_are_typed_errors(capsys, tmp_path, argv, message):
     if "--config" not in argv:

@@ -11,8 +11,10 @@ from sibdep import moments as mo
 from sibdep.env_model import Environment, EnvironmentEnsemble, SiblingLaw
 from sibdep.errors import CalibrationError, DegenerateProductError
 from sibdep.presets import load_preset
+from sibdep.rng import RngStream
 from sibdep.spectral import (
     ConditionParams,
+    _growth_rate,
     _mean_matrices,
     calibrate_critical_pair,
     _indexed_log_norms,
@@ -82,6 +84,36 @@ def test_indexed_log_norms_match_reference_product(case):
     got = _indexed_log_norms(mats, idx)
     want = [product_lognorm(mats[row]) for row in idx]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_indexed_products(), data=st.data())
+def test_indexed_log_norms_rows_do_not_depend_on_their_company(case, data):
+    # the calibration's one call for its two bracket rows relies on this: a
+    # row's log norm is the same bits among all rows or any two or more of them;
+    # numpy hands a lone row to other BLAS routines, which may round differently
+    mats, idx = case
+    every = _indexed_log_norms(mats, idx)
+    rows = idx.shape[0]
+    subset = data.draw(st.lists(st.integers(0, rows - 1), min_size=min(2, rows),
+                                max_size=rows, unique=True))
+    np.testing.assert_array_equal(_indexed_log_norms(mats, idx[subset]), every[subset])
+    alone = np.concatenate([_indexed_log_norms(mats, row) for row in idx[:, None]])
+    np.testing.assert_allclose(alone, every, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("step", [8, 9, 131])
+@pytest.mark.parametrize("row", [0, 2])
+def test_indexed_log_norms_name_the_collapse_step_across_blocks(step, row):
+    mats = np.stack([np.eye(2), np.zeros((2, 2))])
+    idx = np.zeros((4, 140), dtype=np.intp)
+    idx[row, step - 1] = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateProductError) as exc:
+            _indexed_log_norms(mats, idx)
+    assert exc.value.steps == step
+    assert str(exc.value) == f"a replica's product norm collapsed at step {step}"
 
 
 def test_indexed_log_norms_report_collapse_step_quietly():
@@ -279,6 +311,18 @@ def test_calibration_on_boom_bust_preset():
     assert len(res.trace) == res.iterations + 2
     d = res.to_dict()
     assert d["weight"] == res.weight and len(d["trace"]) == len(res.trace)
+
+
+def test_calibration_brackets_equal_the_kernel_over_every_row():
+    boom, bust = load_preset("boom_bust").members
+    horizon, replicas, seed = 40, 24, 3
+    res = calibrate_critical_pair(boom, bust, tol=0.5, horizon=horizon,
+                                  replicas=replicas, seed=seed)
+    mats = _mean_matrices((bust, boom))
+    uniforms = RngStream(seed, 0).generator().random((replicas, horizon + 1))
+    for entry, weight in zip(res.trace[:2], (0.0, 1.0)):
+        want = _growth_rate(_indexed_log_norms(mats, uniforms < weight), horizon)
+        assert entry == (weight, want.value, want.stderr)
 
 
 @pytest.mark.parametrize("sample, message", [
