@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, spectral
-from .errors import EnsembleFormatError, InvalidLawError, SibdepError
+from .errors import EnsembleFormatError, InvalidLawError, SibdepError, check_domains
 from .env_model import (
     EnvironmentEnsemble,
     ensemble_from_dict,
@@ -239,10 +239,7 @@ def cmd_moments(ens: EnvironmentEnsemble, ns):
 
 def cmd_lyapunov(ens: EnvironmentEnsemble, ns):
     # one product sample for every section; the checks come before the draw
-    if ns.theta is not None:
-        spectral._check_theta(ns.theta)
-    if ns.derivative:
-        spectral._check_step(ns.step)
+    check_domains(theta=ns.theta, step=ns.step if ns.derivative else None)
     logs = spectral._sampled_log_norms(ens, ns.horizon, ns.replicas, ns.seed, ns.macro)
     growth = spectral._growth_rate(logs, ns.horizon)
     body = {"growth_rate": growth.to_dict()}

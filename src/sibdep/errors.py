@@ -3,10 +3,63 @@
 Domain errors (invalid laws, degenerate inputs, failed calibrations) derive from
 SibdepError so the command line layer can map them to a single exit code.
 Format errors raised while parsing ensemble documents derive from
-EnsembleFormatError and are treated as usage errors.
+EnsembleFormatError and are treated as usage errors.  The numeric parameter
+domains of every entry point live in DOMAINS, checked by check_domains.
 """
 
 from __future__ import annotations
+
+import math
+
+INT64_MAX = 2 ** 63 - 1
+
+
+def _finite_positive(name: str) -> tuple:
+    return ((lambda v, n: math.isfinite(v), f"{name} must be finite"),
+            (lambda v, n: v > 0.0, f"{name} must be positive"))
+
+
+# parameter name -> ordered (test, message) rows; a test takes the value and
+# the ensemble order, and a message is a string or a function of the same two.
+# A parameter with two domains has a second name for the other one.
+DOMAINS = {
+    "theta": _finite_positive("theta"),
+    "eps": _finite_positive("eps"),
+    "alpha": _finite_positive("alpha"),
+    "step": ((lambda v, n: 0.0 < v < 1.0,
+              "step must lie in (0, 1) so both exponents stay positive"),
+             (lambda v, n: 1.0 - v < 1.0 < 1.0 + v,
+              lambda v, n: f"step {v!r} is too small: 1 - step or 1 + step rounds to 1")),
+    "tol": ((lambda v, n: 0.0 < v < math.inf, "tol must be positive and finite"),),
+    "max_iter": ((lambda v, n: v >= 1, "max_iter must be at least 1"),),
+    "horizon": ((lambda v, n: v >= 1, "horizon must be at least 1"),),
+    "coupled_horizon": ((lambda v, n: v >= 0, "horizon must be nonnegative"),),
+    "horizons": ((lambda v, n: bool(v) and min(v) >= 1, "horizons must be positive"),),
+    "replicas": ((lambda v, n: v >= 1, "replicas must be positive"),),
+    "survival_replicas": ((lambda v, n: v >= 2, "replicas >= 2 required"),),
+    "initial_type": ((lambda v, n: 1 <= v <= n,
+                      lambda v, n: f"initial type {v} outside 1..{n}"),),
+    # a member has at most `order` children, so the generation after one
+    # under the cap has at most order * cap individuals, which must fit int64
+    "cap": ((lambda v, n: v >= 1, "cap must be at least 1"),
+            (lambda v, n: n * v <= INT64_MAX,
+             lambda v, n: f"cap {v} can overflow 64-bit counts at order {n}; "
+                          f"the largest cap allowed is {INT64_MAX // n}")),
+}
+
+
+def check_domains(order: int | None = None, /, **values) -> None:
+    """Raise ValueError with the message of the first DOMAINS row a value fails.
+
+    Values are checked in argument order; a None value is not checked.
+    """
+    for name, value in values.items():
+        if value is None:
+            continue
+        for test, message in DOMAINS[name]:
+            if not test(value, order):
+                raise ValueError(message if isinstance(message, str)
+                                 else message(value, order))
 
 
 class SibdepError(Exception):

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_domains
+
 DEFAULT_CHUNK_SIZE = 4096
 
 
@@ -47,8 +49,7 @@ def worker_count() -> int:
 
 def chunk_layout(replicas: int):
     """Split a replica count into (stream_index, size) chunks."""
-    if replicas <= 0:
-        raise ValueError("replicas must be positive")
+    check_domains(replicas=replicas)
     starts = range(0, replicas, DEFAULT_CHUNK_SIZE)
     return [(index, min(DEFAULT_CHUNK_SIZE, replicas - start))
             for index, start in enumerate(starts)]

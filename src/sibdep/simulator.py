@@ -38,12 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env_model import Environment, EnvironmentEnsemble
-from .errors import InsufficientSurvivorsError, PopulationCapError
+from .errors import InsufficientSurvivorsError, PopulationCapError, check_domains
 from .records import Record
 from .rng import run_chunked
 
 POPULATION_CAP = 1_000_000_000
-INT64_MAX = 2 ** 63 - 1
 MIN_SURVIVORS = 100
 
 
@@ -134,34 +133,10 @@ def _advance_batch(counts, member_idx, table, gen, generation, cap=POPULATION_CA
     return new, sizes
 
 
-def _check_alpha(alpha: float) -> None:
-    if not math.isfinite(alpha):
-        raise ValueError("alpha must be finite")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-
-
-def _check_initial_type(order: int, initial_type: int) -> None:
-    if not 1 <= initial_type <= order:
-        raise ValueError(f"initial type {initial_type} outside 1..{order}")
-
-
 def _initial_counts(order: int, initial_type: int, replicas: int) -> np.ndarray:
-    _check_initial_type(order, initial_type)
     counts = np.zeros((replicas, order), dtype=np.int64)
     counts[:, initial_type - 1] = 1
     return counts
-
-
-def _check_cap(order: int, cap: int) -> None:
-    """Reject a cap whose next generation could overflow 64-bit counts.
-
-    A member has at most `order` children, so the generation after one under
-    the cap has at most order * cap individuals, which must fit int64.
-    """
-    if order * cap > INT64_MAX:
-        raise ValueError(f"cap {cap} can overflow 64-bit counts at order {order}; "
-                         f"the largest cap allowed is {INT64_MAX // order}")
 
 
 def _forward(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
@@ -179,7 +154,6 @@ def _forward(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
     dropped.  Returns the final `(rows, counts)` at the horizon, or as soon
     as no replica is left, so no draw is made past extinction.
     """
-    _check_cap(ens.order, cap)
     table = ens._particle_table
     rows = np.arange(size)
     counts = _initial_counts(ens.order, initial_type, size)
@@ -226,10 +200,8 @@ def simulate_macro_coupled(ens: EnvironmentEnsemble, initial_type: int, horizon:
     individual count of either equals the weighted group total of the other.
     No draw is made past extinction; the extinct tail stays zero.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
     order = ens.order
-    _check_cap(order, cap)
+    check_domains(order, coupled_horizon=horizon, cap=cap, initial_type=initial_type)
     table = ens._particle_table
     # columns: the macro route, then the micro route
     both = np.zeros((horizon + 1, 2 * order), dtype=np.int64)
@@ -265,7 +237,7 @@ def quenched_survival(env_seq: Sequence[Environment], initial_type: int) -> floa
     if not envs:
         raise ValueError("need at least one environment")
     order = envs[0].order
-    _check_initial_type(order, initial_type)
+    check_domains(order, initial_type=initial_type)
     s = np.zeros(order)
     for env in reversed(envs):
         s = env.phi_vector(s)
@@ -308,13 +280,10 @@ def estimate_survival(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
     with the exact composition above, so all demographic noise is gone; the
     particle method simulates populations and scores the survival indicator.
     """
-    if replicas < 2:
-        raise ValueError("replicas >= 2 required")
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    check_domains(ens.order, survival_replicas=replicas, horizon=horizon,
+                  initial_type=initial_type)
     if method not in ("quenched", "particle"):
         raise ValueError(f"unknown method {method!r}")
-    _check_initial_type(ens.order, initial_type)
 
     if method == "quenched":
         def task(gen, size):
@@ -349,12 +318,8 @@ def survival_scaling_scan(ens: EnvironmentEnsemble, initial_type: int,
     estimates decrease monotonically in the horizon by construction.
     """
     hs = sorted(set(int(h) for h in horizons))
-    if not hs or hs[0] < 1:
-        raise ValueError("horizons must be positive")
-    if replicas < 2:
-        raise ValueError("replicas >= 2 required")
-    _check_alpha(alpha)
-    _check_initial_type(ens.order, initial_type)
+    check_domains(ens.order, horizons=hs, survival_replicas=replicas, alpha=alpha,
+                  initial_type=initial_type)
     try:
         scales = [h ** (1.0 / alpha) for h in hs]
     except OverflowError:
@@ -457,10 +422,8 @@ def conditional_size_distribution(ens: EnvironmentEnsemble, initial_type: int,
     picks by a cheap quenched survival estimate of the expected survivor
     count.
     """
-    if replicas < 2:
-        raise ValueError("replicas >= 2 required")
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    check_domains(ens.order, survival_replicas=replicas, horizon=horizon,
+                  initial_type=initial_type)
     if method not in ("auto", "direct", "resample"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
@@ -536,14 +499,11 @@ def log_population_path(ens: EnvironmentEnsemble, initial_type: int, horizon: in
     which case it was positive at every earlier time too, so the whole
     recorded path is well defined.  Long critical runs can push rare
     surviving paths past the default cap; raising the cap (counts are exact
-    64-bit integers up to INT64_MAX // order) lets those tails complete
+    64-bit integers up to errors.INT64_MAX // order) lets those tails complete
     instead of failing the run.
     """
-    if replicas < 2:
-        raise ValueError("replicas >= 2 required")
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    _check_alpha(alpha)
+    check_domains(ens.order, survival_replicas=replicas, horizon=horizon, alpha=alpha,
+                  cap=cap, initial_type=initial_type)
     scale = horizon ** (-1.0 / alpha)
     if scale == 0.0:
         raise ValueError("the path scale horizon**(-1/alpha) underflows to 0 "

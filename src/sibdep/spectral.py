@@ -29,7 +29,7 @@ import numpy as np
 from . import moments as mo
 from .env_model import Environment, EnvironmentEnsemble
 from .errors import (CalibrationError, DegenerateEnvironmentError,
-                     DegenerateProductError)
+                     DegenerateProductError, check_domains)
 from .records import Record
 from .rng import RngStream, run_chunked
 
@@ -114,9 +114,9 @@ def _indexed_log_norms(mats: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def _sampled_log_norms(ens: EnvironmentEnsemble, horizon, replicas, seed, use_macro):
     """Log norms of `replicas` sampled products of horizon + 1 factors; each
-    estimator below is one statistic of this one draw."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    estimator below is one statistic of this one draw; run_chunked checks
+    the replica count."""
+    check_domains(horizon=horizon)
     mats = _mean_matrices(ens.members, macro=use_macro)
     factors = horizon + 1
 
@@ -170,13 +170,6 @@ class MomentGrowthEstimate(Record):
     replicas: int
 
 
-def _check_theta(theta: float) -> None:
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
-    if theta <= 0.0:
-        raise ValueError("theta must be positive")
-
-
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -206,7 +199,7 @@ def estimate_lambda_theta(ens: EnvironmentEnsemble, theta: float, horizon: int =
     so heavy replica weights never overflow; a rate that itself overflows a
     float raises ValueError.
     """
-    _check_theta(theta)
+    check_domains(theta=theta)
     return _moment_growth(_sampled_log_norms(ens, horizon, replicas, seed, use_macro),
                           theta, horizon)
 
@@ -218,11 +211,6 @@ class DerivativeEstimate(Record):
     step: float
     horizon: int
     replicas: int
-
-
-def _check_step(step: float) -> None:
-    if not 0.0 < step < 1.0:
-        raise ValueError("step must lie in (0, 1) so both exponents stay positive")
 
 
 def _growth_slope(logs: np.ndarray, step: float, horizon: int) -> DerivativeEstimate:
@@ -251,7 +239,7 @@ def lambda_prime_at_one(ens: EnvironmentEnsemble, step: float = 0.1,
     noise cancels in the difference; the standard error is a leave-one-out
     jackknife over replicas.
     """
-    _check_step(step)
+    check_domains(step=step)
     return _growth_slope(_sampled_log_norms(ens, horizon, replicas, seed, use_macro),
                          step, horizon)
 
@@ -275,9 +263,7 @@ class ConditionParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("theta", "eps", "alpha"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        check_domains(theta=self.theta, eps=self.eps, alpha=self.alpha)
 
 
 @dataclass(frozen=True)
@@ -545,14 +531,7 @@ def calibrate_critical_pair(env_super: Environment, env_sub: Environment,
     weight and bisection converges cleanly.  Runs as one batch; the worker
     count never affects the outcome.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if replicas < 1:
-        raise ValueError("replicas must be positive")
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    check_domains(horizon=horizon, replicas=replicas, tol=tol, max_iter=max_iter)
     if env_super.order != env_sub.order:
         raise ValueError(f"orders differ: {env_super.order} and {env_sub.order}")
     mats = _mean_matrices((env_sub, env_super))
@@ -586,6 +565,8 @@ def calibrate_critical_pair(env_super: Environment, env_sub: Environment,
     lo, hi = 0.0, 1.0
     for it in range(1, max_iter + 1):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):   # no float left between them; a rerun would repeat mid
+            break
         est = growth_at(mid)
         trace.append((mid, est.value, est.stderr))
         if abs(est.value) <= tol:
@@ -597,6 +578,6 @@ def calibrate_critical_pair(env_super: Environment, env_sub: Environment,
         else:
             lo = mid
     raise CalibrationError(
-        f"bisection did not reach |growth| <= {tol} within {max_iter} iterations",
+        f"bisection did not reach |growth| <= {tol} within {len(trace) - 2} iterations",
         trace=trace,
     )

@@ -1,15 +1,19 @@
 """Command line surface: exit codes, artifacts, hashing, determinism."""
+import contextlib
 import hashlib
 import importlib.metadata
+import io
 import json
 import math
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 try:
     import tomllib
@@ -280,6 +284,17 @@ def test_survival_rejects_replica_floor(capsys):
      "the path scale horizon**(-1/alpha) underflows to 0 at alpha=1e-300"),
     (("scan", "--alpha", "5e-324", "--horizons", "2,4", "--replicas", "16"),
      "the scaled column horizon**(1/alpha) overflows a float at alpha=5e-324"),
+    (("conditions", "--theta", "-1"), "theta must be positive"),
+    (("conditions", "--theta", "0"), "theta must be positive"),
+    (("conditions", "--eps", "-1"), "eps must be positive"),
+    (("conditions", "--eps", "0"), "eps must be positive"),
+    (("conditions", "--alpha=-0.0"), "alpha must be positive"),
+    (("conditions", "--alpha=-1"), "alpha must be positive"),
+    (("lyapunov", "--derivative", "--step", "5e-324"),
+     "step 5e-324 is too small: 1 - step or 1 + step rounds to 1"),
+    (("lyapunov", "--derivative", "--step", "1e-17"),
+     "step 1e-17 is too small: 1 - step or 1 + step rounds to 1"),
+    (("paths", "--cap", "0"), "cap must be at least 1"),
 ])
 def test_out_of_range_inputs_are_typed_errors(capsys, tmp_path, argv, message):
     if "--config" not in argv:
@@ -340,6 +355,96 @@ def test_scan_rejects_nonpositive_alpha(capsys, tmp_path, alpha):
     err = json.loads(out)["error"]
     assert rc == 1
     assert err == {"type": "ValueError", "message": "alpha must be positive"}
+
+
+# -- every run ends in strict JSON or a typed error ---------------------------
+
+INT64_EDGES = ("9223372036854775807", "-9223372036854775808")
+EDGE_FLOATS = ("0.0", "-0.0", "5e-324", "1e-300", "1e308", "-1e308", *INT64_EDGES, "0.5", "2")
+EDGE_INTS = ("0", "1", "2", *INT64_EDGES)
+# replica counts and horizons stay tiny: no large value is ever drawn
+COUNTS = ("-9223372036854775808", "-1", "0", "1", "2", "5")
+PROPERTY_OPTIONS = {
+    "moments": {},
+    "lyapunov": {"--theta": EDGE_FLOATS, "--step": EDGE_FLOATS,
+                 "--derivative": None, "--macro": None},
+    "conditions": {"--theta": EDGE_FLOATS, "--eps": EDGE_FLOATS, "--alpha": EDGE_FLOATS},
+    "calibrate": {"--tol": EDGE_FLOATS, "--max-iter": EDGE_INTS},
+    "survival": {"--initial-type": EDGE_INTS, "--method": ("quenched", "particle")},
+    "scan": {"--initial-type": EDGE_INTS, "--alpha": EDGE_FLOATS},
+    "paths": {"--initial-type": EDGE_INTS, "--alpha": EDGE_FLOATS, "--cap": EDGE_INTS},
+    "condsize": {"--initial-type": EDGE_INTS,
+                 "--method": ("auto", "direct", "resample")},
+}
+
+
+def _member(label, weight, singles, pairs):
+    return {"label": label, "weight": weight, "laws": [
+        {"group_size": size, "atoms": [{"tuple": list(t), "weight": w} for t, w in atoms]}
+        for size, atoms in ((1, singles), (2, pairs))]}
+
+
+GROWER = (((0,), 0.2), ((2,), 0.8)), (((1, 2), 1.0),)
+CHILDLESS = (((0,), 1.0),), (((0, 0), 1.0),)
+ZERO_ROW = (((2,), 1.0),), (((0, 0), 1.0),)       # pairs never have children
+# singles beget singles and pairs beget pairs: a block-diagonal mean matrix
+SINGLES_UP = (((0,), 0.3), ((1,), 0.7)), (((0, 2), 0.5), ((2, 2), 0.5))
+SINGLES_DOWN = (((0,), 0.7), ((1,), 0.3)), (((0, 0), 0.5), ((0, 2), 0.5))
+DEGENERATE_CONFIGS = {
+    "childless-member": (("grower", 0.5, *GROWER), ("childless", 0.5, *CHILDLESS)),
+    "zero-row": (("grower", 0.5, *GROWER), ("zero-row", 0.5, *ZERO_ROW)),
+    "zero-weight-dead": (("grower", 1.0, *GROWER), ("dead", 0.0, *CHILDLESS)),
+    "reducible": (("up", 0.5, *SINGLES_UP), ("down", 0.5, *SINGLES_DOWN)),
+}
+
+
+@pytest.fixture(scope="module")
+def property_configs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("configs")
+    configs = [f"preset:{name}" for name in PRESET_NAMES]
+    for name, members in DEGENERATE_CONFIGS.items():
+        path = root / f"{name}.json"
+        path.write_text(json.dumps({"N": 2, "label": name, "environments": [
+            _member(*member) for member in members]}), encoding="utf-8")
+        configs.append(str(path))
+    return configs
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_run_ends_in_strict_json_or_a_typed_error(property_configs, data):
+    command = data.draw(st.sampled_from(sorted(PROPERTY_OPTIONS)))
+    argv = [command, "--config", data.draw(st.sampled_from(property_configs)),
+            "--seed=" + data.draw(st.sampled_from(EDGE_INTS))]
+    if command == "scan":
+        argv.append("--horizons=" + data.draw(st.sampled_from(("1", "2,5", "0,3", "-1,2"))))
+    elif command != "moments":
+        argv += ["--horizon=" + data.draw(st.sampled_from(COUNTS)),
+                 "--replicas=" + data.draw(st.sampled_from(COUNTS))]
+    for option, values in PROPERTY_OPTIONS[command].items():
+        if values is None:
+            if data.draw(st.booleans()):
+                argv.append(option)
+        elif data.draw(st.booleans()):
+            argv.append(f"{option}={data.draw(st.sampled_from(values))}")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main([*argv, "--out", str(out)])
+        assert "Traceback" not in stderr.getvalue()
+        if rc == 0:
+            json.loads((out / f"{command}.json").read_text(encoding="utf-8"),
+                       parse_constant=_reject_constant)
+        else:
+            assert rc in (1, 2), argv
+            error = json.loads(stdout.getvalue())["error"]
+            assert set(error) == {"type", "message"}, argv
+            assert not out.exists(), argv
 
 
 def test_scan_csv_is_parseable_and_consistent(capsys, tmp_path):

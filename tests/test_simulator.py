@@ -611,6 +611,27 @@ def test_path_scale_underflow_fails_before_any_draw(monkeypatch, alpha):
         log_population_path(load_preset("supercritical"), 1, 8, replicas=64, alpha=alpha)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_cap_below_one_fails_before_any_draw(monkeypatch, cap):
+    def no_draws(*args):
+        raise AssertionError("the cap check must come before any draw")
+
+    class NoDraws:
+        def __getattr__(self, name):
+            no_draws()
+
+    monkeypatch.setattr("sibdep.simulator.run_chunked", no_draws)
+    ens = load_preset("supercritical")
+    calls = [
+        lambda: log_population_path(ens, 1, 8, replicas=64, cap=cap),
+        lambda: simulate_macro_coupled(ens, 1, 8, NoDraws(), cap=cap),
+        lambda: simulate_micro(ens, 1, 8, NoDraws(), cap=cap),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^cap must be at least 1$"):
+            call()
+
+
 def test_path_memory_follows_live_rows():
     """One chunk of the critical run keeps only live rows' log sizes: a dense
     (replicas, horizon + 1) float array alone would take 16.8 MB."""

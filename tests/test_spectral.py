@@ -200,6 +200,14 @@ def test_derivative_negative_when_mixture_shrinks(ab_sub):
         lambda_prime_at_one(ab_sub, horizon=0)
 
 
+def test_derivative_rejects_a_step_that_rounds_to_one(ab_sub):
+    for step in (5e-324, 1e-17):
+        with pytest.raises(ValueError, match=rf"^step {step!r} is too small: "
+                                             r"1 - step or 1 \+ step rounds to 1$"):
+            lambda_prime_at_one(ab_sub, step=step, horizon=8, replicas=8)
+    assert math.isfinite(lambda_prime_at_one(ab_sub, step=1e-8, horizon=8, replicas=8).value)
+
+
 def test_condition_report_on_balanced_pair(critical_pair):
     report = check_conditions(critical_pair)
     assert {c.id for c in report.checks} == CHECK_IDS
@@ -251,7 +259,7 @@ def _sparse_env(p: float) -> Environment:
 
 
 @pytest.mark.parametrize("ens, params, message", [
-    ("critical", {"eps": -1e4}, "the eps=-10000.0 curvature ratio moment overflows a float"),
+    ("sparse", {"eps": 1e4}, "the eps=10000.0 curvature ratio moment overflows a float"),
     ("critical", {"eps": 1e4}, "the eps=10000.0 log curvature moment overflows a float"),
     # count variance 0.36 against a dominant root 0.2: log+ of the ratio is log 9 > 1
     ("sparse", {"alpha": 1e3},
@@ -296,6 +304,16 @@ def test_calibration_requires_a_bracket(lean):
     trace = exc.value.trace
     assert len(trace) == 2
     assert all(value < 0.0 for _, value, _ in trace)
+
+
+def test_calibration_stops_once_the_weight_interval_cannot_be_halved(rich, lean):
+    # no estimate comes within 5e-324 of zero, and after some 53 halvings no
+    # float is left between the bracket ends, so a rerun would repeat the midpoint
+    with pytest.raises(CalibrationError, match=r"within \d+ iterations$") as exc:
+        calibrate_critical_pair(rich, lean, tol=5e-324, horizon=5, replicas=5,
+                                max_iter=2 ** 63 - 1)
+    weights = [w for w, _, _ in exc.value.trace]
+    assert len(weights) < 1100 and len(set(weights)) == len(weights)
 
 
 def test_calibration_on_boom_bust_preset():
