@@ -184,6 +184,7 @@ def run_command(compute, ns) -> int:
     """
     doc = _read_doc(ns.config)
     ens = ensemble_from_dict(doc)
+    check_domains(seed=ns.seed)
     start = time.monotonic()
     body, table, summary = compute(ens, ns)
     # hashed after compute, so a non-finite option gets the library's message

@@ -192,34 +192,19 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _build_phi_tables(members: Sequence["Environment"]) -> tuple[np.ndarray, np.ndarray]:
-    """Gathered-product tables that evaluate every member's phi_i at once.
+    """Tables that evaluate every member's phi_i at once.
 
-    An atom's monomial depends only on its nonzero child counts, so atoms
-    are keyed by those, padded to length N with 0.  Row a of `gather` holds
-    one key: indices into [1, s_1, .., s_N], where index 0 is the constant 1,
-    so the product over a row is the monomial.  Entry (a, m*N + i-1) of
-    `table` is member m's orbit weight of that monomial in its size-i law.
+    Column k of `counts` (N, keys) is one of the members' deduplicated atom
+    child-count rows, so log(s) @ counts is the log of every monomial.
+    Entry (k, m*N + i-1) of `table` is key k's weight in member m's size-i law.
     """
-    n = members[0].order
-    keyed = [[[(tuple(v for v in t if v), w) for t, w in law.atoms] for law in env.laws]
-             for env in members]
-    keys = sorted({k for env in keyed for law in env for k, _ in law})
-    row = {k: a for a, k in enumerate(keys)}
-    gather = np.zeros((len(keys), n), dtype=np.intp)
-    for a, k in enumerate(keys):
-        gather[a, :len(k)] = k
-    table = np.zeros((len(keys), len(members) * n))
-    for m, env in enumerate(keyed):
-        for i, law in enumerate(env):
-            for k, w in law:
-                table[row[k], m * n + i] = w
-    return _frozen(gather), _frozen(table)
-
-
-def _gathered_phi(s_rows: np.ndarray, gather: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """The one batched phi kernel: (rows, N) points to (rows, K*N) values."""
-    full = np.concatenate([np.ones((s_rows.shape[0], 1)), s_rows], axis=1)
-    return full[:, gather].prod(axis=2) @ table
+    child = [c for env in members for c in env._atom_child_counts]
+    weights = [w for env in members for w in env._atom_weights]
+    keys, key = np.unique(np.concatenate(child), axis=0, return_inverse=True)
+    law = np.repeat(np.arange(len(child)), [w.shape[0] for w in weights])
+    table = np.zeros((keys.shape[0], len(child)))
+    table[key.reshape(-1), law] = np.concatenate(weights)
+    return _frozen(keys.T.astype(float)), _frozen(table)
 
 
 @dataclass(frozen=True)
@@ -227,7 +212,7 @@ class Environment:
     """One complete reproduction regime: a sibling law for every group size 1..N.
 
     Laws are validated on construction and renormalized exactly once.  Derived
-    tables (marginals, pair marginals, polynomial evaluation data) are cached
+    tables (marginals, pair marginals, atom weights and counts) are cached
     as read-only arrays, so instances are safe to share across worker threads.
     """
 
@@ -383,20 +368,15 @@ class Environment:
         j = np.arange(1, self.order + 1)
         return float(row[0] + np.sum(row[1:] * arr ** j))
 
-    @cached_property
-    def _phi_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        return _build_phi_tables((self,))
-
     def phi_map(self, s_rows: np.ndarray) -> np.ndarray:
         """Apply every phi_i to a batch of points; rows are points, columns types.
 
-        Runs the gathered-product kernel on this environment's own table;
-        assumes rows already lie in the unit box.
+        1 - survival_step(1 - s) on a one-member ensemble: the quenched
+        kernel in extinction form.  Assumes rows already lie in the unit box.
         """
-        return _gathered_phi(np.asarray(s_rows, dtype=float), *self._phi_tables)
-
-    def phi_vector(self, s: np.ndarray) -> np.ndarray:
-        return self.phi_map(np.asarray(s, dtype=float)[None, :])[0]
+        s = np.asarray(s_rows, dtype=float)
+        alone = single_environment_ensemble(self)
+        return 1.0 - alone.survival_step(1.0 - s, np.zeros(s.shape[0], dtype=np.intp))
 
 
 @dataclass(frozen=True)
@@ -476,16 +456,22 @@ class EnvironmentEnsemble:
                              _frozen(np.concatenate(child)), coupled,
                              _frozen(np.arange(1, self.order + 1)))
 
-    def phi_step(self, s_rows: np.ndarray, member_idx: np.ndarray) -> np.ndarray:
-        """Row r becomes members[member_idx[r]].phi_map of row r.
+    def survival_step(self, q_rows: np.ndarray, member_idx: np.ndarray) -> np.ndarray:
+        """One backward generation in survival form: row r becomes
+        1 - phi(1 - q_r) under member member_idx[r].
 
-        One backward generation of the quenched composition: every member's
-        maps are evaluated on every row in one call, then each row keeps its
-        own member's.  Assumes rows already lie in the unit box.
+        Weights sum to 1 per law, so 1 - phi_i(s) = sum_k w_ik (1 - s^key_k),
+        and -expm1(log1p(-q) @ counts) keeps small survival accurate where 1 - phi
+        would cancel.  The logs are floored, since -inf * 0 is NaN inside a
+        matrix product; fmax also floors the NaN of a q an ulp above 1.
+        Every member's maps run on every row; each row keeps its member's.
         """
-        rows = s_rows.shape[0]
-        every = _gathered_phi(s_rows, *self._phi_tables).reshape(rows, self.size, self.order)
-        return every[np.arange(rows), member_idx]
+        rows = q_rows.shape[0]
+        counts, table = self._phi_tables
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.fmax(np.log1p(-q_rows), -1e300)
+        every = (-np.expm1(logs @ counts) @ table).reshape(rows * self.size, self.order)
+        return every[np.arange(0, rows * self.size, self.size) + member_idx]
 
 
 def single_environment_ensemble(env: Environment) -> EnvironmentEnsemble:

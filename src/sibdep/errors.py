@@ -10,6 +10,7 @@ domains of every entry point live in DOMAINS, checked by check_domains.
 from __future__ import annotations
 
 import math
+import numbers
 
 INT64_MAX = 2 ** 63 - 1
 
@@ -35,6 +36,8 @@ DOMAINS = {
     "horizon": ((lambda v, n: v >= 1, "horizon must be at least 1"),),
     "coupled_horizon": ((lambda v, n: v >= 0, "horizon must be nonnegative"),),
     "horizons": ((lambda v, n: bool(v) and min(v) >= 1, "horizons must be positive"),),
+    "seed": ((lambda v, n: isinstance(v, numbers.Integral) and v >= 0,
+              lambda v, n: f"seed {v!r} must be a nonnegative integer"),),
     "replicas": ((lambda v, n: v >= 1, "replicas must be positive"),),
     "survival_replicas": ((lambda v, n: v >= 2, "replicas >= 2 required"),),
     "initial_type": ((lambda v, n: 1 <= v <= n,

@@ -33,6 +33,9 @@ class RngStream:
     seed: int
     stream_index: int = 0
 
+    def __post_init__(self):
+        check_domains(seed=self.seed)
+
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence((int(self.seed), int(self.stream_index)))
         return np.random.Generator(np.random.PCG64(ss))

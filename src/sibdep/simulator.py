@@ -10,11 +10,10 @@ search the member CDF, are advanced one block per member, and reach the
 `step(t, rows, counts, sizes)` hook.  Single trajectories bookkeep every
 draw twice, by sibship sizes and by child-group tables, in one
 (horizon + 1, 2N) array; each route is a `Trajectory`.  The quenched
-engine never simulates populations at all:
-for a fixed environment sequence it composes the offspring generating maps
-backward from the zero vector, giving extinction probabilities that are
-exact up to float rounding, and Monte Carlo enters only through the
-environment sequence.
+engine never simulates populations at all: for a fixed environment
+sequence it composes q -> 1 - phi(1 - q) backward from survival 1, giving
+survival probabilities that are exact up to float rounding even where they
+are tiny, and Monte Carlo enters only through the environment sequence.
 
 Survival estimates therefore carry a method tag: "quenched-exact" for the
 composition route, "particle-mc" for the particle route.  Conditional-law
@@ -229,28 +228,28 @@ def simulate_macro_coupled(ens: EnvironmentEnsemble, initial_type: int, horizon:
 def quenched_survival(env_seq: Sequence[Environment], initial_type: int) -> float:
     """Exact survival probability for one fixed environment sequence.
 
-    Composes the offspring generating maps backward from the zero vector;
-    the resulting coordinate is the extinction probability of a line started
-    by one group of the requested type.  No sampling is involved.
+    One row of `_quenched_survival_rows` over the sequence's distinct
+    members, whose ensemble weights are never drawn from.
     """
     envs = list(env_seq)
     if not envs:
         raise ValueError("need at least one environment")
-    order = envs[0].order
-    check_domains(order, initial_type=initial_type)
-    s = np.zeros(order)
-    for env in reversed(envs):
-        s = env.phi_vector(s)
-    return float(1.0 - s[initial_type - 1])
+    check_domains(envs[0].order, initial_type=initial_type)
+    members = tuple({id(env): env for env in envs}.values())
+    ens = EnvironmentEnsemble(members, np.full(len(members), 1.0 / len(members)))
+    idx = np.array([[members.index(env) for env in envs]])
+    return float(_quenched_survival_rows(ens, idx, initial_type)[0])
 
 
 def _quenched_survival_rows(ens: EnvironmentEnsemble, member_idx: np.ndarray,
                             initial_type: int) -> np.ndarray:
-    """Vectorized backward composition over many index rows at once."""
-    s = np.zeros((member_idx.shape[0], ens.order))
+    """Backward composition in survival form over many index rows at once,
+    from survival 1; the clip removes an ulp above 1 that weights summing
+    to 1 + ulp can leave."""
+    q = np.ones((member_idx.shape[0], ens.order))
     for t in range(member_idx.shape[1] - 1, -1, -1):
-        s = ens.phi_step(s, member_idx[:, t])
-    return 1.0 - s[:, initial_type - 1]
+        q = ens.survival_step(q, member_idx[:, t])
+    return np.minimum(q[:, initial_type - 1], 1.0)
 
 
 @dataclass(frozen=True)

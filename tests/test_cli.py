@@ -320,6 +320,16 @@ def test_overflowing_condition_moment_leaves_no_out_dir(capsys, tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", sorted(TINY_RUNS))
+def test_negative_seed_is_a_typed_error_before_any_write(capsys, tmp_path, command):
+    out_dir = tmp_path / "not-yet"
+    rc, out = run_cli(capsys, *TINY_RUNS[command], "--seed", "-1", "--out", str(out_dir))
+    assert rc == 1
+    assert json.loads(out) == {"error": {
+        "type": "ValueError", "message": "seed -1 must be a nonnegative integer"}}
+    assert not out_dir.exists()
+
+
 def test_results_ignore_worker_count_end_to_end(capsys, tmp_path, monkeypatch):
     # more replicas than one 4096-replica chunk, so two workers share the work
     runs = {

@@ -132,16 +132,25 @@ def test_phi_fixed_point_and_monotonicity():
     for _ in range(10):
         env = random_environment(gen, int(gen.integers(2, 5)))
         ones = np.ones(env.order)
-        assert np.allclose(env.phi_vector(ones), ones, atol=1e-12)
+        for i in range(1, env.order + 1):
+            assert env.phi(i, ones) == pytest.approx(1.0, abs=1e-12)
+        # survival 0 is a fixed point of the kernel, exactly
+        zeros = np.zeros((1, env.order))
+        assert np.array_equal(
+            single_environment_ensemble(env).survival_step(zeros, np.zeros(1, dtype=int)),
+            zeros)
         lo = gen.uniform(0.0, 0.5, env.order)
         hi = lo + gen.uniform(0.0, 0.5, env.order)
-        assert np.all(env.phi_vector(lo) <= env.phi_vector(hi) + 1e-14)
+        maps = env.phi_map(np.stack([lo, hi]))
+        assert np.all(maps[0] <= maps[1] + 1e-14)
+        for i in range(1, env.order + 1):
+            assert env.phi(i, lo) <= env.phi(i, hi) + 1e-14
 
 
-def test_phi_vector_matches_scalar_phi():
+def test_phi_map_matches_scalar_phi():
     env = make_lean()
     s = np.array([0.3, 0.8])
-    vec = env.phi_vector(s)
+    vec = env.phi_map(s[None, :])[0]
     assert vec[0] == pytest.approx(env.phi(1, s), abs=1e-15)
     assert vec[1] == pytest.approx(env.phi(2, s), abs=1e-15)
 
@@ -151,7 +160,10 @@ def test_phi_map_batches_rows_independently():
     rows = np.array([[0.1, 0.9], [0.5, 0.5], [1.0, 0.0]])
     batched = env.phi_map(rows)
     for r, row in enumerate(rows):
-        assert np.allclose(batched[r], env.phi_vector(row), atol=1e-15)
+        want = [env.phi(i, row) for i in range(1, env.order + 1)]
+        np.testing.assert_allclose(batched[r], want, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(batched[r], env.phi_map(row[None, :])[0],
+                                   rtol=0.0, atol=1e-15)
 
 
 @st.composite
@@ -176,13 +188,16 @@ def _ensemble_points(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=_ensemble_points())
 def test_phi_step_and_phi_map_match_pointwise_phi(case):
-    ens, s, idx = case
-    step = ens.phi_step(s, idx)
-    maps = [env.phi_map(s) for env in ens.members]
-    for r, row in enumerate(s):
+    # the points are survival vectors q for the step, extinction vectors s
+    # for phi_map; both corners, q = 0 and q = 1, are drawn
+    ens, q, idx = case
+    step = ens.survival_step(q, idx)
+    maps = [env.phi_map(q) for env in ens.members]
+    for r, row in enumerate(q):
         env = ens.members[idx[r]]
-        want = [env.phi(i, row) for i in range(1, ens.order + 1)]
+        want = [1.0 - env.phi(i, 1.0 - row) for i in range(1, ens.order + 1)]
         np.testing.assert_allclose(step[r], want, rtol=0.0, atol=1e-14)
+        want = [env.phi(i, row) for i in range(1, ens.order + 1)]
         np.testing.assert_allclose(maps[idx[r]][r], want, rtol=0.0, atol=1e-14)
 
 

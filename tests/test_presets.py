@@ -64,7 +64,8 @@ def test_line_preset_is_frozen():
     env = ens.members[0]
     assert ens.order == 1
     np.testing.assert_allclose(mo.mean_matrix(env), [[1.0]])
-    assert quenched_survival([env] * 5, 1) == 1.0
+    for n in (1, 5, 60, 1000):
+        assert quenched_survival([env] * n, 1) == 1.0
 
 
 def test_regime_roots_match_independent_solver():

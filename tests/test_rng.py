@@ -50,3 +50,12 @@ def test_worker_count_reads_environment(monkeypatch):
 def test_default_chunk_size_is_stable():
     # estimates freeze per (seed, chunk); the chunk size is part of that contract
     assert DEFAULT_CHUNK_SIZE == 4096
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+def test_streams_reject_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ValueError, match=r"^seed .* must be a nonnegative integer$"):
+        RngStream(seed, 0)
+    with pytest.raises(ValueError, match=r"must be a nonnegative integer$"):
+        run_chunked(lambda gen, size: np.zeros(size), 8, seed)
+    assert RngStream(np.int64(3)).generator().random() == RngStream(3).generator().random()

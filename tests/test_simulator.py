@@ -714,16 +714,14 @@ def test_calibrated_two_member_scan_plateaus_early():
     assert max(scaled) / min(scaled) <= 1.2
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP direction 1: the extinction-form quenched "
-                   "composition loses rows with small survival, so some exceed "
-                   "the first-moment bound; the survival form mends this")
-def test_quenched_rows_obey_the_first_moment_bound():
+@pytest.mark.parametrize("seed", range(5))
+def test_quenched_rows_obey_the_first_moment_bound(seed):
     # P(survive to h | environment) <= e_1' M_1 ... M_h 1, with M_t the
-    # group-level mean matrix of generation t's member
+    # group-level mean matrix of generation t's member; the extinction form
+    # broke it on rows with small survival
     w = 0.541046142578125
     ens = EnvironmentEnsemble(load_preset("boom_bust").members, np.array([w, 1.0 - w]))
-    idx = ens.sample_index_array((512, 512), RngStream(3, 0).generator())
+    idx = ens.sample_index_array((512, 512), RngStream(seed, 0).generator())
     survival = _quenched_survival_rows(ens, idx, 1)
     mats = np.stack([mo.macro_moments(env).mean for env in ens.members])
     expected = np.zeros((idx.shape[0], ens.order))
@@ -732,3 +730,42 @@ def test_quenched_rows_obey_the_first_moment_bound():
         expected = np.einsum("ri,rij->rj", expected, mats[idx[:, t]])
     bound = expected.sum(axis=1)
     assert np.all(survival <= bound * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("n", [60, 100, 1000])
+def test_small_quenched_survival_does_not_cancel(n):
+    # one child or none with probability 1/2 each: survival to n is 2**-n,
+    # which 1 - (extinction probability) loses from n = 54 on
+    coin = Environment(1, (SiblingLaw(1, 1, (((0,), 0.5), ((1,), 0.5))),))
+    assert quenched_survival([coin] * n, 1) == pytest.approx(2.0 ** -n, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("pair_weights", [(0.3467642574483109, 0.2580374409806181,
+                                            0.3951983015710711), (0.06, 0.57, 0.37)])
+def test_quenched_survival_stays_in_the_unit_interval(pair_weights):
+    # every atom has children, so survival is 1, but the size-2 weights
+    # normalize to a sum an ulp away from 1: below it for the first law,
+    # above it for the second, whose one-step survival is 1 + ulp
+    env = Environment(2, (
+        SiblingLaw(1, 2, (((1,), 0.5), ((2,), 0.5))),
+        SiblingLaw(2, 2, tuple(zip(((1, 1), (1, 2), (2, 2)), pair_weights))),
+    ))
+    for h in range(1, 6):
+        for itype in (1, 2):
+            value = quenched_survival([env] * h, itype)
+            assert math.isfinite(value) and 0.0 <= value <= 1.0
+            assert value == pytest.approx(1.0, abs=1e-15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(1, 3),
+       size=st.integers(1, 3), length=st.integers(1, 200))
+def test_one_sequence_and_the_batched_rows_agree(seed, order, size, length):
+    gen = np.random.default_rng(seed)
+    ens = random_ensemble(gen, order, size)
+    idx = ens.sample_index_array((3, length), gen)
+    itype = int(gen.integers(1, order + 1))
+    rows = _quenched_survival_rows(ens, idx, itype)
+    for r in range(idx.shape[0]):
+        word = [ens.members[m] for m in idx[r]]
+        assert quenched_survival(word, itype) == pytest.approx(rows[r], rel=0.0, abs=1e-15)
