@@ -386,8 +386,9 @@ class ParticleTable:
     weights: tuple[np.ndarray, ...]
     spans: tuple[slice, ...]         # per law: its atom rows in child_counts
     child_counts: np.ndarray         # (atoms, N), every law's rows stacked
-    coupled: tuple[np.ndarray, ...]  # per law: [child-group counts | sibship counts]
+    coupled: tuple[tuple, ...]       # per law and atom: [child-group counts | sibship counts]
     type_sizes: np.ndarray           # (N,) group size of each type
+    cdf: tuple[float, ...]           # the member CDF, for bisect on one uniform
 
 
 @dataclass(frozen=True)
@@ -435,9 +436,6 @@ class EnvironmentEnsemble:
     def size(self) -> int:
         return len(self.members)
 
-    def sample_index(self, rng: np.random.Generator) -> int:
-        return int(self._cdf.searchsorted(rng.random(), side="right"))
-
     def sample_index_array(self, shape, rng: np.random.Generator) -> np.ndarray:
         return self._cdf.searchsorted(rng.random(shape), side="right")
 
@@ -451,10 +449,10 @@ class EnvironmentEnsemble:
         child = [c for env in self.members for c in env._atom_child_counts]
         sibship = [s for env in self.members for s in env._sibship_counts]
         ends = np.cumsum([w.shape[0] for w in weights]).tolist()
-        coupled = tuple(_frozen(np.concatenate(pair, axis=1)) for pair in zip(child, sibship))
+        coupled = tuple(tuple(map(tuple, np.hstack(p).tolist())) for p in zip(child, sibship))
         return ParticleTable(weights, tuple(map(slice, [0] + ends[:-1], ends)),
                              _frozen(np.concatenate(child)), coupled,
-                             _frozen(np.arange(1, self.order + 1)))
+                             _frozen(np.arange(1, self.order + 1)), tuple(self._cdf.tolist()))
 
     def survival_step(self, q_rows: np.ndarray, member_idx: np.ndarray) -> np.ndarray:
         """One backward generation in survival form: row r becomes

@@ -9,7 +9,8 @@ uniform for every replica but carries only the live rows: they alone
 search the member CDF, are advanced one block per member, and reach the
 `step(t, rows, counts, sizes)` hook.  Single trajectories bookkeep every
 draw twice, by sibship sizes and by child-group tables, in one
-(horizon + 1, 2N) array; each route is a `Trajectory`.  The quenched
+(horizon + 1, 2N) array; each route is a `Trajectory`.  Their loop works
+in Python ints and skips the multinomial of a one-atom law.  The quenched
 engine never simulates populations at all: for a fixed environment
 sequence it composes q -> 1 - phi(1 - q) backward from survival 1, giving
 survival probabilities that are exact up to float rounding even where they
@@ -31,8 +32,10 @@ the only worker setting, so seeded results never depend on the worker count.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -132,12 +135,6 @@ def _advance_batch(counts, member_idx, table, gen, generation, cap=POPULATION_CA
     return new, sizes
 
 
-def _initial_counts(order: int, initial_type: int, replicas: int) -> np.ndarray:
-    counts = np.zeros((replicas, order), dtype=np.int64)
-    counts[:, initial_type - 1] = 1
-    return counts
-
-
 def _forward(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
              gen: np.random.Generator, size: int, cap: int = POPULATION_CAP,
              step=None) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +152,8 @@ def _forward(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
     """
     table = ens._particle_table
     rows = np.arange(size)
-    counts = _initial_counts(ens.order, initial_type, size)
+    counts = np.zeros((size, ens.order), dtype=np.int64)
+    counts[:, initial_type - 1] = 1
     for t in range(1, horizon + 1):
         u = gen.random(size)
         idx = ens._cdf.searchsorted(u[rows] if rows.shape[0] < size else u, side="right")
@@ -197,20 +195,33 @@ def simulate_macro_coupled(ens: EnvironmentEnsemble, initial_type: int, horizon:
     the precomputed child-group count tables.  Both see the same multinomial
     draws, so the returned trajectories must agree state by state, and the
     individual count of either equals the weighted group total of the other.
-    No draw is made past extinction; the extinct tail stays zero.
+    No draw is made past extinction; the extinct tail stays zero.  A member
+    is one uniform bisected on the CDF, a live type of a law with several
+    atoms makes one multinomial draw, and counts and sizes are Python ints.
     """
     order = ens.order
     check_domains(order, coupled_horizon=horizon, cap=cap, initial_type=initial_type)
     table = ens._particle_table
     # columns: the macro route, then the micro route
     both = np.zeros((horizon + 1, 2 * order), dtype=np.int64)
-    both[0] = np.tile(_initial_counts(order, initial_type, 1)[0], 2)
+    both[0, [initial_type - 1, order + initial_type - 1]] = 1
+    counts, columns = both[0, :order].tolist(), range(2 * order)
     for t in range(1, horizon + 1):
-        law = ens.sample_index(rng) * order
-        for k, nk in enumerate(both[t - 1, :order].tolist()):
+        law = bisect_right(table.cdf, rng.random()) * order
+        new = [0] * (2 * order)
+        for k, nk in enumerate(counts):
             if nk:
-                both[t] += rng.multinomial(nk, table.weights[law + k]) @ table.coupled[law + k]
-        size = int(both[t, :order] @ table.type_sizes)
+                rows = table.coupled[law + k]
+                # numpy's multinomial makes no draw for one category either
+                draws = rng.multinomial(nk, table.weights[law + k]).tolist() \
+                    if len(rows) > 1 else (nk,)
+                for c, row in zip(draws, rows):
+                    if c:
+                        for j in columns:
+                            new[j] += c * row[j]
+        both[t] = new
+        counts = new[:order]
+        size = sum(map(mul, counts, range(1, order + 1)))
         if size > cap:
             raise PopulationCapError(
                 f"population {size} exceeds the cap {cap} at generation {t}",

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -238,12 +239,17 @@ def test_ensemble_sampling_follows_weights():
 
 def test_ensemble_sampling_matches_generator_choice():
     # Seeded results depend on member draws being exactly those of
-    # Generator.choice with the ensemble weights.
+    # Generator.choice with the ensemble weights: one uniform bisected on the
+    # table's CDF for a single trajectory, a searchsorted array for batches.
     ens = EnvironmentEnsemble((make_rich(), make_lean(), make_rich()),
                               np.array([0.541046142578125, 0.3, 0.158953857421875]))
+    cdf = ens._particle_table.cdf
+    assert [bisect_right(cdf, u) for u in (0.0, *cdf)] == \
+        ens._cdf.searchsorted([0.0, *cdf], side="right").tolist()
     a, b = np.random.default_rng(5), np.random.default_rng(5)
-    assert [ens.sample_index(a) for _ in range(2000)] == [
+    assert [bisect_right(cdf, a.random()) for _ in range(2000)] == [
         int(b.choice(3, p=ens.weights)) for _ in range(2000)]
+    assert a.bit_generator.state == b.bit_generator.state
     assert np.array_equal(ens.sample_index_array((40, 50), a),
                           b.choice(3, size=(40, 50), p=ens.weights))
     assert a.bit_generator.state == b.bit_generator.state
@@ -254,13 +260,18 @@ def test_particle_table_is_read_only_and_stacks_every_law(order, size):
     ens = random_ensemble(np.random.default_rng(10 * order + size), order, size)
     table = ens._particle_table
     assert table is ens._particle_table
-    for arr in (table.child_counts, table.type_sizes, *table.weights, *table.coupled):
+    for arr in (table.child_counts, table.type_sizes, *table.weights):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[...] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         table.weights = ()
     assert table.type_sizes.tolist() == list(range(1, order + 1))
+    assert table.cdf == tuple(ens._cdf.tolist())
+    # the coupled rows are nested tuples of Python ints, so they are immutable
+    # and the coupled loop's sums cannot wrap
+    assert {type(row) for law in table.coupled for row in (law, *law)} == {tuple}
+    assert {type(v) for law in table.coupled for row in law for v in row} == {int}
     # law m * N + i - 1 is member m's size-i law; the spans tile the stack
     assert len(table.weights) == len(table.spans) == len(table.coupled) == size * order
     assert [s.start for s in table.spans] == [0] + [s.stop for s in table.spans[:-1]]
@@ -271,8 +282,9 @@ def test_particle_table_is_read_only_and_stacks_every_law(order, size):
             assert np.array_equal(table.weights[law], env._atom_weights[k])
             assert np.array_equal(table.child_counts[table.spans[law]],
                                   env._atom_child_counts[k])
-            assert np.array_equal(table.coupled[law][:, :order], env._atom_child_counts[k])
-            assert np.array_equal(table.coupled[law][:, order:], env._sibship_counts[k])
+            coupled = np.array(table.coupled[law])
+            assert np.array_equal(coupled[:, :order], env._atom_child_counts[k])
+            assert np.array_equal(coupled[:, order:], env._sibship_counts[k])
 
 
 def test_ensemble_weight_validation():
