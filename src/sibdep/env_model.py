@@ -36,6 +36,10 @@ VALIDATION_TOL = 1e-12
 # the point s = 1 symmetrically.
 EVAL_SLACK = 0.5
 
+# Steps whose gather positions a blocked kernel forms at once, here and in
+# spectral._indexed_log_norms; longer blocks cost more in working set than they save.
+_BLOCK = 8
+
 
 def _as_atom_items(atoms) -> list[tuple[tuple[int, ...], float]]:
     if isinstance(atoms, Mapping):
@@ -456,20 +460,54 @@ class EnvironmentEnsemble:
 
     def survival_step(self, q_rows: np.ndarray, member_idx: np.ndarray) -> np.ndarray:
         """One backward generation in survival form: row r becomes
-        1 - phi(1 - q_r) under member member_idx[r].
+        1 - phi(1 - q_r) under member member_idx[r]; one step of _survival_loop.
+        An index outside [0, size) would gather another row's maps, so it raises."""
+        idx = np.asarray(member_idx)
+        if idx.size and not (0 <= idx.min() and idx.max() < self.size):
+            raise IndexError(f"member indices must lie in [0, {self.size})")
+        state = np.negative(q_rows, dtype=float, order="C")
+        return 0.0 - self._survival_loop(state, idx[:, None])
+
+    def _survival_loop(self, state: np.ndarray, member_idx: np.ndarray) -> np.ndarray:
+        """Compose q -> 1 - phi(1 - q) backward over the columns of member_idx,
+        the last first, on state = -q, which it overwrites and returns.
 
         Weights sum to 1 per law, so 1 - phi_i(s) = sum_k w_ik (1 - s^key_k),
-        and -expm1(log1p(-q) @ counts) keeps small survival accurate where 1 - phi
-        would cancel.  The logs are floored, since -inf * 0 is NaN inside a
-        matrix product; fmax also floors the NaN of a q an ulp above 1.
-        Every member's maps run on every row; each row keeps its member's.
+        and -expm1(log1p(-q) @ counts) @ table keeps small survival accurate
+        where 1 - phi would cancel.  Negation is exact, so the loop carries
+        -q with no negation pass: log1p(state), and expm1(...) @ table is the
+        next -q bit for bit, up to the sign of a zero.  The matrix product
+        sums a row of zero terms to +0.0, so callers read a survival back as
+        0.0 - state, which gives +0.0 for a survival of exactly 0 as the
+        plain step does, where -state would give -0.0.  The logs are
+        floored, since -inf * 0 is NaN inside a matrix product; fmax also
+        floors the NaN of a q an ulp above 1.  Every member's maps run on
+        every row and each row gathers its member's.  Gather positions are
+        formed for _BLOCK generations at once, and every step writes into
+        buffers made once per call, so concurrent calls share nothing.
         """
-        rows = q_rows.shape[0]
+        rows, length = member_idx.shape
         counts, table = self._phi_tables
+        logs = np.empty((rows, self.order))
+        monomials = np.empty((rows, counts.shape[1]))
+        every = np.empty((rows, table.shape[1]))
+        take = every.reshape(rows * self.size, self.order).take
+        offsets = np.arange(rows) * self.size
+        pos = np.empty((_BLOCK, rows), dtype=np.intp)
+        steps = list(pos)
+        log1p, fmax, matmul, expm1 = np.log1p, np.fmax, np.matmul, np.expm1
         with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.fmax(np.log1p(-q_rows), -1e300)
-        every = (-np.expm1(logs @ counts) @ table).reshape(rows * self.size, self.order)
-        return every[np.arange(0, rows * self.size, self.size) + member_idx]
+            for end in range(length, 0, -_BLOCK):
+                n = min(_BLOCK, end)
+                np.add(member_idx[:, end - n:end].T, offsets, out=pos[:n])
+                for at in steps[n - 1::-1]:
+                    log1p(state, out=logs)
+                    fmax(logs, -1e300, out=logs)
+                    matmul(logs, counts, out=monomials)
+                    expm1(monomials, out=monomials)
+                    matmul(monomials, table, out=every)
+                    take(at, axis=0, out=state)
+        return state
 
 
 def single_environment_ensemble(env: Environment) -> EnvironmentEnsemble:

@@ -255,12 +255,11 @@ def quenched_survival(env_seq: Sequence[Environment], initial_type: int) -> floa
 def _quenched_survival_rows(ens: EnvironmentEnsemble, member_idx: np.ndarray,
                             initial_type: int) -> np.ndarray:
     """Backward composition in survival form over many index rows at once,
-    from survival 1; the clip removes an ulp above 1 that weights summing
-    to 1 + ulp can leave."""
-    q = np.ones((member_idx.shape[0], ens.order))
-    for t in range(member_idx.shape[1] - 1, -1, -1):
-        q = ens.survival_step(q, member_idx[:, t])
-    return np.minimum(q[:, initial_type - 1], 1.0)
+    from survival 1, carried as -1; the clip removes an ulp above 1 that
+    weights summing to 1 + ulp can leave."""
+    state = np.full((member_idx.shape[0], ens.order), -1.0)
+    ens._survival_loop(state, member_idx)
+    return np.minimum(0.0 - state[:, initial_type - 1], 1.0)
 
 
 @dataclass(frozen=True)

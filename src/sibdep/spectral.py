@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moments as mo
-from .env_model import Environment, EnvironmentEnsemble
+from .env_model import _BLOCK, Environment, EnvironmentEnsemble
 from .errors import (CalibrationError, DegenerateEnvironmentError,
                      DegenerateProductError, check_domains)
 from .records import Record
@@ -60,9 +60,6 @@ def product_lognorm(mats) -> float:
         current = nxt / scale
         log_scale += math.log(scale)
     return log_scale + math.log(float(np.abs(current).sum()))
-
-
-_BLOCK = 8   # factor steps per block; longer blocks cost more in working set than they save
 
 
 def _indexed_log_norms(mats: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -56,6 +56,23 @@ def random_ensemble(gen, order: int, size: int) -> EnvironmentEnsemble:
     return EnvironmentEnsemble(members, np.full(size, 1.0 / size))
 
 
+def plain_survival_step(ens: EnvironmentEnsemble, q: np.ndarray,
+                        member_idx: np.ndarray) -> np.ndarray:
+    """The quenched survival step as a plain formula, the reference for the
+    buffered loop: row r becomes 1 - phi(1 - q_r) under member member_idx[r]."""
+    counts, table = ens._phi_tables
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.fmax(np.log1p(-q), -1e300)
+    every = (-np.expm1(logs @ counts) @ table).reshape(q.shape[0], ens.size, ens.order)
+    return every[np.arange(q.shape[0]), member_idx]
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bits, so -0.0 and 0.0 differ."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.fixture(scope="session")
 def rich():
     return make_rich()

@@ -23,7 +23,7 @@ from sibdep.env_model import (
 from sibdep.errors import EnsembleFormatError, InvalidLawError
 from sibdep.simulator import simulate_micro
 
-from conftest import make_rich, make_lean, random_ensemble
+from conftest import make_rich, make_lean, plain_survival_step, random_ensemble, same_bits
 
 
 # -- construction and structural checks ------------------------------------
@@ -194,12 +194,28 @@ def test_phi_step_and_phi_map_match_pointwise_phi(case):
     ens, q, idx = case
     step = ens.survival_step(q, idx)
     maps = [env.phi_map(q) for env in ens.members]
+    assert same_bits(step, plain_survival_step(ens, q, idx))
+    for m, env in enumerate(ens.members):
+        alone = single_environment_ensemble(env)
+        assert same_bits(maps[m], 1.0 - plain_survival_step(alone, 1.0 - q, np.zeros_like(idx)))
     for r, row in enumerate(q):
         env = ens.members[idx[r]]
         want = [1.0 - env.phi(i, 1.0 - row) for i in range(1, ens.order + 1)]
         np.testing.assert_allclose(step[r], want, rtol=0.0, atol=1e-14)
         want = [env.phi(i, row) for i in range(1, ens.order + 1)]
         np.testing.assert_allclose(maps[idx[r]][r], want, rtol=0.0, atol=1e-14)
+
+
+def test_survival_step_rejects_member_indices_out_of_range():
+    # a gather position is idx + row * size, so an index of size or more, or a
+    # negative one, would read another row's member maps instead of failing
+    ens = random_ensemble(np.random.default_rng(5), 2, 2)
+    q = np.full((2, 2), 0.25)
+    for idx in ([2, 0], [0, -1], [1, 7]):
+        with pytest.raises(IndexError):
+            ens.survival_step(q, np.array(idx))
+    assert same_bits(ens.survival_step(q, np.array([1, 0])),
+                     plain_survival_step(ens, q, np.array([1, 0])))
 
 
 def test_phi_rejects_out_of_box_arguments():

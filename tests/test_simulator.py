@@ -31,7 +31,8 @@ from sibdep.simulator import (
     total_variation_distance,
 )
 
-from conftest import make_lean, make_line, make_rich, random_ensemble
+from conftest import (make_lean, make_line, make_rich, plain_survival_step, random_ensemble,
+                      same_bits)
 from oracles import annealed_survival, conditional_size_law, enumerate_survival
 
 
@@ -774,6 +775,52 @@ def test_quenched_rows_obey_the_first_moment_bound(seed):
         expected = np.einsum("ri,rij->rj", expected, mats[idx[:, t]])
     bound = expected.sum(axis=1)
     assert np.all(survival <= bound * (1.0 + 1e-12))
+
+
+def test_seeded_quenched_output_is_pinned():
+    # sha256 of the quenched rows on the critical boom_bust mixture (512 x 512
+    # indices from RngStream(s, 0), s = 0..2), of scan rows on two presets and
+    # of one quenched_survival word; recorded with the one-step-per-call
+    # kernel, so a moved bit of any survival value shows
+    digest = hashlib.sha256()
+    w = 0.541046142578125
+    ens = EnvironmentEnsemble(load_preset("boom_bust").members, np.array([w, 1.0 - w]))
+    for s in range(3):
+        idx = ens.sample_index_array((512, 512), RngStream(s, 0).generator())
+        digest.update(_quenched_survival_rows(ens, idx, 1).astype("<f8").tobytes())
+    for name in ("critical", "subcritical_mix"):
+        rows = survival_scaling_scan(load_preset(name), 2, [1, 7, 8, 9, 16, 17, 100],
+                                     replicas=5000, seed=5)
+        digest.update(json.dumps([r.to_dict() for r in rows], sort_keys=True).encode())
+    boom, bust = ens.members
+    word = [boom if m else bust for m in RngStream(7, 0).generator().random(300) < w]
+    digest.update(np.float64(quenched_survival(word, 1)).astype("<f8").tobytes())
+    assert digest.hexdigest() == \
+        "650b95942d56f9df2e7b2d3a5192820d678b1a1d0346d33735e18422632212ee"
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(1, 4),
+       size=st.integers(1, 3), rows=st.sampled_from([1, 2, 3, 64]),
+       length=st.sampled_from([1, 7, 8, 9, 16, 17]), strided=st.booleans(),
+       dead=st.booleans())
+def test_quenched_loop_equals_the_plain_step_composition(seed, order, size, rows,
+                                                         length, strided, dead):
+    # lengths straddle the loop's blocks of 8 generations; a strided idx is
+    # the scan's idx[:, :h]; a childless member makes survivals of exactly 0,
+    # which must read +0.0 as the plain step's do
+    gen = np.random.default_rng(seed)
+    ens = random_ensemble(gen, order, size)
+    if dead:
+        ens = EnvironmentEnsemble((dead_end_env(order),) + ens.members[1:], ens.weights)
+    idx = ens.sample_index_array((rows, length + 3 if strided else length), gen)
+    idx = idx[:, :length]
+    q = np.ones((rows, order))
+    for t in range(length - 1, -1, -1):
+        q = plain_survival_step(ens, q, idx[:, t])
+    for itype in range(1, order + 1):
+        assert same_bits(_quenched_survival_rows(ens, idx, itype),
+                         np.minimum(q[:, itype - 1], 1.0))
 
 
 @pytest.mark.parametrize("n", [60, 100, 1000])
