@@ -388,8 +388,8 @@ class ParticleTable:
     """Per-law particle data; law m * N + i - 1 is member m's size-i law."""
 
     weights: tuple[np.ndarray, ...]
-    spans: tuple[slice, ...]         # per law: its atom rows in child_counts
-    child_counts: np.ndarray         # (atoms, N), every law's rows stacked
+    pvals: np.ndarray                # (members, N, 1, P) atom weights, zero-padded in front
+    children: np.ndarray             # (members, N, P, N) child-group counts, padded alike
     coupled: tuple[tuple, ...]       # per law and atom: [child-group counts | sibship counts]
     type_sizes: np.ndarray           # (N,) group size of each type
     cdf: tuple[float, ...]           # the member CDF, for bisect on one uniform
@@ -452,11 +452,19 @@ class EnvironmentEnsemble:
         weights = tuple(w for env in self.members for w in env._atom_weights)
         child = [c for env in self.members for c in env._atom_child_counts]
         sibship = [s for env in self.members for s in env._sibship_counts]
-        ends = np.cumsum([w.shape[0] for w in weights]).tolist()
         coupled = tuple(tuple(map(tuple, np.hstack(p).tolist())) for p in zip(child, sibship))
-        return ParticleTable(weights, tuple(map(slice, [0] + ends[:-1], ends)),
-                             _frozen(np.concatenate(child)), coupled,
-                             _frozen(np.arange(1, self.order + 1)), tuple(self._cdf.tolist()))
+        # Zeros in front, never behind: a leading zero weight is a binomial
+        # with p = 0, which draws nothing and leaves the remaining mass at
+        # exactly 1, while a trailing one would make the last atom a draw.
+        n, width = self.order, max(w.shape[0] for w in weights)
+        pvals = np.zeros((self.size, n, 1, width))
+        children = np.zeros((self.size, n, width, n), dtype=np.int64)
+        for law, (w, c) in enumerate(zip(weights, child)):
+            m, k = divmod(law, n)
+            pvals[m, k, 0, width - w.shape[0]:] = w
+            children[m, k, width - c.shape[0]:] = c
+        return ParticleTable(weights, _frozen(pvals), _frozen(children), coupled,
+                             _frozen(np.arange(1, n + 1)), tuple(self._cdf.tolist()))
 
     def survival_step(self, q_rows: np.ndarray, member_idx: np.ndarray) -> np.ndarray:
         """One backward generation in survival form: row r becomes

@@ -6,15 +6,16 @@ which keeps memory independent of population size; equal-type groups are
 exchangeable, so the aggregated law is the exact process law.  Its two
 loops read one read-only table per ensemble.  The forward driver draws a
 uniform for every replica but carries only the live rows: they alone
-search the member CDF, are advanced one block per member, and reach the
-`step(t, rows, counts, sizes)` hook.  Single trajectories bookkeep every
-draw twice, by sibship sizes and by child-group tables, in one
-(horizon + 1, 2N) array; each route is a `Trajectory`.  Their loop works
-in Python ints and skips the multinomial of a one-atom law.  The quenched
-engine never simulates populations at all: for a fixed environment
-sequence it composes q -> 1 - phi(1 - q) backward from survival 1, giving
-survival probabilities that are exact up to float rounding even where they
-are tiny, and Monte Carlo enters only through the environment sequence.
+search the member CDF, are advanced by one multinomial call over a
+(member, type, row) grid, and reach the `step(t, rows, counts, sizes)`
+hook.  Single trajectories bookkeep every draw twice, by sibship sizes and
+by child-group tables, in one (horizon + 1, 2N) array; each route is a
+`Trajectory`.  Their loop works in Python ints and skips the multinomial
+of a one-atom law.  The quenched engine never simulates populations at
+all: for a fixed environment sequence it composes q -> 1 - phi(1 - q)
+backward from survival 1, giving survival probabilities that are exact up
+to float rounding even where they are tiny, and Monte Carlo enters only
+through the environment sequence.
 
 Survival estimates therefore carry a method tag: "quenched-exact" for the
 composition route, "particle-mc" for the particle route.  Conditional-law
@@ -108,23 +109,13 @@ class Trajectory:
 def _advance_batch(counts, member_idx, table, gen, generation, cap=POPULATION_CAP):
     """One generation for a batch of replicas; returns the new counts and sizes.
 
-    One multinomial call per member and type, over that member's block of a
-    stable sort: the seed contract fixes member -> type -> ascending row.
+    One multinomial call over a (member, type, row) grid of group counts,
+    zero wherever a row's member is another: its C order is the seed
+    contract's member -> type -> ascending row, and a zero count draws
+    nothing.  The counts stay int64, since they can reach INT64_MAX // N.
     """
-    order = counts.shape[1]
-    members = len(table.weights) // order
-    perm = member_idx.argsort(kind="stable") if members > 1 else slice(None)
-    blocks = counts[perm]
-    ends = np.bincount(member_idx, minlength=members).cumsum().tolist()
-    draws = np.zeros((counts.shape[0], table.child_counts.shape[0]), dtype=np.int64)
-    lo = 0
-    for law, hi in zip(range(0, len(table.weights), order), ends):
-        for k in range(order):
-            draws[lo:hi, table.spans[law + k]] = gen.multinomial(
-                blocks[lo:hi, k], table.weights[law + k])
-        lo = hi
-    new = np.empty_like(counts)
-    new[perm] = draws @ table.child_counts      # back to ascending row order
+    grid = counts.T * (member_idx == np.arange(table.pvals.shape[0])[:, None, None])
+    new = np.matmul(gen.multinomial(grid, table.pvals), table.children).sum(axis=(0, 1))
     sizes = new @ table.type_sizes
     worst = int(sizes.max(initial=0))
     if worst > cap:

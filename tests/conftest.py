@@ -50,6 +50,18 @@ def make_line() -> Environment:
     return Environment(1, (SiblingLaw(1, 1, (((1,), 1.0),)),), label="line")
 
 
+def dead_end_env(order: int = 1) -> Environment:
+    """Every group of every size has no children at all."""
+    return Environment(order, tuple(SiblingLaw(k, order, (((0,) * k, 1.0),))
+                                    for k in range(1, order + 1)), label="dead")
+
+
+def one_child_env(order: int = 1) -> Environment:
+    """Every member of every group has exactly one child: one atom per law."""
+    return Environment(order, tuple(SiblingLaw(k, order, (((1,) * k, 1.0),))
+                                    for k in range(1, order + 1)), label="one-child")
+
+
 def random_ensemble(gen, order: int, size: int) -> EnvironmentEnsemble:
     """`size` fully supported random environments, equally weighted."""
     members = tuple(random_environment(gen, order) for _ in range(size))

@@ -23,7 +23,8 @@ from sibdep.env_model import (
 from sibdep.errors import EnsembleFormatError, InvalidLawError
 from sibdep.simulator import simulate_micro
 
-from conftest import make_rich, make_lean, plain_survival_step, random_ensemble, same_bits
+from conftest import (make_rich, make_lean, one_child_env, plain_survival_step,
+                      random_ensemble, same_bits)
 
 
 # -- construction and structural checks ------------------------------------
@@ -273,10 +274,13 @@ def test_ensemble_sampling_matches_generator_choice():
 
 @pytest.mark.parametrize("order, size", [(1, 1), (2, 3), (3, 2)])
 def test_particle_table_is_read_only_and_stacks_every_law(order, size):
-    ens = random_ensemble(np.random.default_rng(10 * order + size), order, size)
+    # a one-atom member beside random ones, so every order has padded laws
+    gen = np.random.default_rng(10 * order + size)
+    ens = EnvironmentEnsemble(random_ensemble(gen, order, size).members
+                              + (one_child_env(order),), np.full(size + 1, 1.0 / (size + 1)))
     table = ens._particle_table
     assert table is ens._particle_table
-    for arr in (table.child_counts, table.type_sizes, *table.weights):
+    for arr in (table.pvals, table.children, table.type_sizes, *table.weights):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[...] = 0
@@ -288,16 +292,23 @@ def test_particle_table_is_read_only_and_stacks_every_law(order, size):
     # and the coupled loop's sums cannot wrap
     assert {type(row) for law in table.coupled for row in (law, *law)} == {tuple}
     assert {type(v) for law in table.coupled for row in law for v in row} == {int}
-    # law m * N + i - 1 is member m's size-i law; the spans tile the stack
-    assert len(table.weights) == len(table.spans) == len(table.coupled) == size * order
-    assert [s.start for s in table.spans] == [0] + [s.stop for s in table.spans[:-1]]
-    assert table.spans[-1].stop == table.child_counts.shape[0]
+    # law m * N + i - 1 is member m's size-i law; the grid tables are padded
+    # to the widest law, with zeros in front
+    assert len(table.weights) == len(table.coupled) == ens.size * order
+    width = max(w.shape[0] for w in table.weights)
+    assert width > 1
+    assert table.pvals.shape == (ens.size, order, 1, width)
+    assert table.children.shape == (ens.size, order, width, order)
+    assert table.children.dtype == np.int64
     for m, env in enumerate(ens.members):
         for k in range(order):
             law = m * order + k
+            pad = width - env._atom_weights[k].shape[0]
+            assert not table.pvals[m, k, 0, :pad].any()
+            assert not table.children[m, k, :pad].any()
+            assert np.array_equal(table.pvals[m, k, 0, pad:], env._atom_weights[k])
+            assert np.array_equal(table.children[m, k, pad:], env._atom_child_counts[k])
             assert np.array_equal(table.weights[law], env._atom_weights[k])
-            assert np.array_equal(table.child_counts[table.spans[law]],
-                                  env._atom_child_counts[k])
             coupled = np.array(table.coupled[law])
             assert np.array_equal(coupled[:, :order], env._atom_child_counts[k])
             assert np.array_equal(coupled[:, order:], env._sibship_counts[k])

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from sibdep import moments as mo
 from sibdep import simulator
-from sibdep.env_model import Environment, EnvironmentEnsemble, SiblingLaw
+from sibdep.env_model import (Environment, EnvironmentEnsemble, SiblingLaw,
+                               random_environment)
 from sibdep.errors import InsufficientSurvivorsError, PopulationCapError
 from sibdep.presets import load_preset
 from sibdep.rng import RngStream
@@ -31,21 +32,9 @@ from sibdep.simulator import (
     total_variation_distance,
 )
 
-from conftest import (make_lean, make_line, make_rich, plain_survival_step, random_ensemble,
-                      same_bits)
+from conftest import (dead_end_env, make_lean, make_line, make_rich, one_child_env,
+                      plain_survival_step, random_ensemble, same_bits)
 from oracles import annealed_survival, conditional_size_law, enumerate_survival
-
-
-def dead_end_env(order: int = 1) -> Environment:
-    """Every group of every size has no children at all."""
-    return Environment(order, tuple(SiblingLaw(k, order, (((0,) * k, 1.0),))
-                                    for k in range(1, order + 1)), label="dead")
-
-
-def one_child_env(order: int = 1) -> Environment:
-    """Every member of every group has exactly one child: one atom per law."""
-    return Environment(order, tuple(SiblingLaw(k, order, (((1,) * k, 1.0),))
-                                    for k in range(1, order + 1)), label="one-child")
 
 
 def doubling_env() -> Environment:
@@ -145,21 +134,25 @@ def test_micro_draws_nothing_past_extinction(members):
     assert replay.bit_generator.state == gen.bit_generator.state
 
 
+def reference_step(ens, counts, idx, gen):
+    """One generation, one row at a time in member -> type -> row order, with
+    a 1-D multinomial draw of the row's own law only for n > 0."""
+    new = np.zeros_like(counts)
+    for m, env in enumerate(ens.members):
+        for k in range(ens.order):
+            weights, child_counts = env._atom_weights[k], env._atom_child_counts[k]
+            for r in range(counts.shape[0]):
+                if idx[r] == m and counts[r, k] > 0:
+                    new[r] += gen.multinomial(counts[r, k], weights) @ child_counts
+    return new
+
+
 def reference_forward(ens, initial_type, horizon, gen, size, step=None):
-    """Every replica, dead or alive, advanced one row at a time in
-    member -> type -> row order, with a multinomial draw only for n > 0."""
+    """Every replica, dead or alive, advanced by `reference_step`."""
     counts = np.zeros((size, ens.order), dtype=np.int64)
     counts[:, initial_type - 1] = 1
     for t in range(1, horizon + 1):
-        idx = ens.sample_index_array(size, gen)
-        new = np.zeros_like(counts)
-        for m, env in enumerate(ens.members):
-            for k in range(ens.order):
-                weights, child_counts = env._atom_weights[k], env._atom_child_counts[k]
-                for r in range(size):
-                    if idx[r] == m and counts[r, k] > 0:
-                        new[r] += gen.multinomial(counts[r, k], weights) @ child_counts
-        counts = new
+        counts = reference_step(ens, counts, ens.sample_index_array(size, gen), gen)
         if step is not None:
             step(t, np.arange(size), counts, counts @ np.arange(1, ens.order + 1))
         if not counts.any():
@@ -181,17 +174,23 @@ def resample_hook(gen):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(1, 3),
-       members=st.integers(1, 3), size=st.integers(1, 40),
-       horizon=st.integers(1, 20), hook=st.booleans(), dies=st.booleans())
+       members=st.integers(1, 4), size=st.integers(1, 40),
+       horizon=st.integers(1, 20), hook=st.booleans(), dies=st.booleans(),
+       line=st.booleans())
 def test_live_row_driver_matches_the_every_row_reference(seed, order, members, size,
-                                                         horizon, hook, dies):
+                                                         horizon, hook, dies, line):
     gen = np.random.default_rng(seed)
     ens = random_ensemble(gen, order, members)
+    # one-atom laws, padded to the width of the random members' laws; a dead
+    # member drawn with weight 0.8 ends every replica long before generation
+    # 20 unless a hook refills them
+    extra = (one_child_env(order),) * line + (dead_end_env(order),) * dies
+    if extra:
+        mass = (0.1,) * line + (0.8,) * dies
+        ens = EnvironmentEnsemble(ens.members + extra,
+                                  np.append(np.full(members, (1.0 - sum(mass)) / members),
+                                            mass))
     if dies:
-        # a dead member drawn with weight 0.8 ends every replica long before
-        # generation 20 unless a hook refills them
-        ens = EnvironmentEnsemble(ens.members + (dead_end_env(order),),
-                                  np.append(np.full(members, 0.2 / members), 0.8))
         horizon = 20
     itype = int(gen.integers(1, order + 1))
     got, want = run_live_rows_and_reference(ens, itype, horizon, size, hook,
@@ -257,6 +256,26 @@ def test_live_row_driver_matches_the_every_row_reference_on_presets(
         assert max(top for _, top in batches) >= 1000
     if exercises == "a member without rows":
         assert any(0 in per_member for per_member, _ in batches)
+
+
+@pytest.mark.parametrize("case", ["zero rows", "order 1", "a member without rows"])
+def test_advance_batch_equals_per_law_draws(case):
+    gen = np.random.default_rng(23)
+    if case == "order 1":
+        members = (random_environment(gen, 1), one_child_env(), dead_end_env())
+        counts, idx = gen.integers(0, 50, (30, 1)), gen.integers(0, 3, 30)
+    else:
+        members = random_ensemble(gen, 3, 3).members + (one_child_env(3),)
+        counts = gen.integers(0, 20, (0 if case == "zero rows" else 25, 3))
+        idx = gen.choice([0, 2, 3], size=counts.shape[0])
+    ens = EnvironmentEnsemble(members, np.full(len(members), 1.0 / len(members)))
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    new, sizes = simulator._advance_batch(counts, idx, ens._particle_table, a, 1)
+    want = reference_step(ens, counts, idx, b)
+    assert new.shape == counts.shape and new.dtype == np.int64
+    assert new.tolist() == want.tolist()
+    assert sizes.tolist() == (want @ np.arange(1, ens.order + 1)).tolist()
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def assert_trajectory_views(traj):
@@ -362,6 +381,42 @@ def test_seeded_coupled_output_is_pinned():
         digest.update(json.dumps(states, sort_keys=True).encode())
     assert digest.hexdigest() == \
         "b68c90e6cd79eba6f6d744823de2e9bf7df50d1fe685cd87f7bcbcc0e5ad4a79"
+
+
+def test_seeded_particle_output_is_pinned():
+    # sha256 of critical log-population paths (horizon 128, 5,120 replicas,
+    # so 2 chunks), resampled conditional size laws on subcritical and the
+    # two-member boom_bust, a particle survival estimate on critical, and the
+    # end state of every chunk's generator; recorded with the sort-and-block
+    # step, one multinomial call per member and type, so a moved draw shows
+    digest = hashlib.sha256()
+    states = []
+    chunked = simulator.run_chunked
+
+    def recording(task, replicas, seed):
+        def task_and_state(gen, size):
+            out = task(gen, size)
+            states.append(gen.bit_generator.state)
+            return out
+        return chunked(task_and_state, replicas, seed)
+
+    with mock.patch.object(simulator, "run_chunked", recording), \
+            mock.patch.dict(os.environ, {"SIBDEP_WORKERS": "1"}):
+        paths = log_population_path(load_preset("critical"), 1, 128, replicas=5120,
+                                    seed=3, cap=10 ** 15)
+        digest.update(paths.values.astype("<f8").tobytes())
+        for name in ("subcritical", "boom_bust"):
+            law = conditional_size_distribution(load_preset(name), 1, 40, replicas=5120,
+                                                seed=4, method="resample")
+            digest.update(law.support.astype("<i8").tobytes())
+            digest.update(law.probabilities.astype("<f8").tobytes())
+        est = estimate_survival(load_preset("critical"), 2, 64, replicas=5120, seed=5,
+                                method="particle")
+        digest.update(json.dumps(est.to_dict(), sort_keys=True).encode())
+    assert len(states) == 8
+    digest.update(json.dumps(states, sort_keys=True).encode())
+    assert digest.hexdigest() == \
+        "71e7e8ca92389bec7fc7373033365f556ebbf8f9e2a8650e3797027c5d1ed2df"
 
 
 def test_coupled_bookkeeping_agrees_exactly(ab_equal):
