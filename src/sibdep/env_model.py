@@ -392,7 +392,6 @@ class ParticleTable:
     children: np.ndarray             # (members, N, P, N) child-group counts, padded alike
     coupled: tuple[tuple, ...]       # per law and atom: [child-group counts | sibship counts]
     type_sizes: np.ndarray           # (N,) group size of each type
-    cdf: tuple[float, ...]           # the member CDF, for bisect on one uniform
 
 
 @dataclass(frozen=True)
@@ -426,11 +425,13 @@ class EnvironmentEnsemble:
             )
         object.__setattr__(self, "members", tuple(self.members))
         object.__setattr__(self, "weights", _frozen(w / w.sum()))
-        # Inverse-CDF table, built the way Generator.choice builds it, so
-        # draws match rng.choice(size, p=weights) without its per-call checks.
+        # The member CDF as Generator.choice builds it, less its last entry:
+        # that one is exactly 1.0 and exceeds every uniform.  Counting the
+        # thresholds at or below u gives searchsorted(side="right") on the
+        # full CDF, so draws match rng.choice(size, p=weights).
         cdf = self.weights.cumsum()
         cdf /= cdf[-1]
-        object.__setattr__(self, "_cdf", _frozen(cdf))
+        object.__setattr__(self, "_thresholds", tuple(cdf[:-1].tolist()))
 
     @property
     def order(self) -> int:
@@ -440,8 +441,18 @@ class EnvironmentEnsemble:
     def size(self) -> int:
         return len(self.members)
 
+    def member_index(self, u: np.ndarray) -> np.ndarray:
+        """The members that Generator.choice with the ensemble weights picks
+        for uniforms u: per uniform, the count of thresholds at or below it,
+        one pass per threshold, in the narrowest unsigned type (uint8 up to
+        256 members)."""
+        idx = np.zeros(u.shape, dtype=np.min_scalar_type(self.size - 1))
+        for c in self._thresholds:
+            np.add(idx, u >= c, out=idx)
+        return idx
+
     def sample_index_array(self, shape, rng: np.random.Generator) -> np.ndarray:
-        return self._cdf.searchsorted(rng.random(shape), side="right")
+        return self.member_index(rng.random(shape))
 
     @cached_property
     def _phi_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -464,7 +475,7 @@ class EnvironmentEnsemble:
             pvals[m, k, 0, width - w.shape[0]:] = w
             children[m, k, width - c.shape[0]:] = c
         return ParticleTable(weights, _frozen(pvals), _frozen(children), coupled,
-                             _frozen(np.arange(1, n + 1)), tuple(self._cdf.tolist()))
+                             _frozen(np.arange(1, n + 1)))
 
     def survival_step(self, q_rows: np.ndarray, member_idx: np.ndarray) -> np.ndarray:
         """One backward generation in survival form: row r becomes

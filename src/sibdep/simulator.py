@@ -5,17 +5,18 @@ group-type count vectors generation by generation with multinomial draws,
 which keeps memory independent of population size; equal-type groups are
 exchangeable, so the aggregated law is the exact process law.  Its two
 loops read one read-only table per ensemble.  The forward driver draws a
-uniform for every replica but carries only the live rows: they alone
-search the member CDF, are advanced by one multinomial call over a
-(member, type, row) grid, and reach the `step(t, rows, counts, sizes)`
-hook.  Single trajectories bookkeep every draw twice, by sibship sizes and
-by child-group tables, in one (horizon + 1, 2N) array; each route is a
-`Trajectory`.  Their loop works in Python ints and skips the multinomial
-of a one-atom law.  The quenched engine never simulates populations at
-all: for a fixed environment sequence it composes q -> 1 - phi(1 - q)
-backward from survival 1, giving survival probabilities that are exact up
-to float rounding even where they are tiny, and Monte Carlo enters only
-through the environment sequence.
+uniform for every replica but carries only the live rows: they alone get
+a member, by `EnvironmentEnsemble.member_index`, are advanced by one
+multinomial call over a (member, type, row) grid, and reach the
+`step(t, rows, counts, sizes)` hook.  Single trajectories bookkeep every
+draw twice, by sibship sizes and by child-group tables, in one
+(horizon + 1, 2N) array; each route is a `Trajectory`.  Their loop works
+in Python ints and skips the multinomial of a one-atom law.  The quenched
+engine never simulates populations at all: for a fixed environment
+sequence it composes q -> 1 - phi(1 - q) backward from survival 1, giving
+survival probabilities that are exact up to float rounding even where
+they are tiny, and Monte Carlo enters only through the environment
+sequence.
 
 Survival estimates therefore carry a method tag: "quenched-exact" for the
 composition route, "particle-mc" for the particle route.  Conditional-law
@@ -134,7 +135,7 @@ def _forward(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
     Carries only the live replicas: `rows` holds their ascending ids and
     `counts` their group counts, one row each.  Every generation draws one
     uniform per replica, dead or alive, so the streams do not depend on who
-    died, but only live rows search the member CDF or draw multinomials.
+    died, but only live rows are mapped to members or draw multinomials.
     `step(t, rows, counts, sizes)`, when given, sees generation t's new
     counts and individual counts of the rows live before it, dead ones
     included, and may change both in place; rows still empty after it are
@@ -147,7 +148,7 @@ def _forward(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
     counts[:, initial_type - 1] = 1
     for t in range(1, horizon + 1):
         u = gen.random(size)
-        idx = ens._cdf.searchsorted(u[rows] if rows.shape[0] < size else u, side="right")
+        idx = ens.member_index(u[rows] if rows.shape[0] < size else u)
         counts, sizes = _advance_batch(counts, idx, table, gen, t, cap)
         if step is not None:
             step(t, rows, counts, sizes)
@@ -187,8 +188,9 @@ def simulate_macro_coupled(ens: EnvironmentEnsemble, initial_type: int, horizon:
     draws, so the returned trajectories must agree state by state, and the
     individual count of either equals the weighted group total of the other.
     No draw is made past extinction; the extinct tail stays zero.  A member
-    is one uniform bisected on the CDF, a live type of a law with several
-    atoms makes one multinomial draw, and counts and sizes are Python ints.
+    is one uniform bisected on the ensemble's member thresholds, the ones
+    `member_index` counts, a live type of a law with several atoms makes one
+    multinomial draw, and counts and sizes are Python ints.
     """
     order = ens.order
     check_domains(order, coupled_horizon=horizon, cap=cap, initial_type=initial_type)
@@ -197,8 +199,9 @@ def simulate_macro_coupled(ens: EnvironmentEnsemble, initial_type: int, horizon:
     both = np.zeros((horizon + 1, 2 * order), dtype=np.int64)
     both[0, [initial_type - 1, order + initial_type - 1]] = 1
     counts, columns = both[0, :order].tolist(), range(2 * order)
+    thresholds = ens._thresholds
     for t in range(1, horizon + 1):
-        law = bisect_right(table.cdf, rng.random()) * order
+        law = bisect_right(thresholds, rng.random()) * order
         new = [0] * (2 * order)
         for k, nk in enumerate(counts):
             if nk:

@@ -283,16 +283,6 @@ class ConditionReport(Record):
                 return c
         raise KeyError(check_id)
 
-    def summary_lines(self) -> list[str]:
-        out = []
-        for c in self.checks:
-            verdict = {True: "holds", False: "fails", None: "undecided"}[c.holds]
-            line = f"{c.id:<24} {verdict:<9} {c.description}"
-            if c.note:
-                line += f" ({c.note})"
-            out.append(line)
-        return out
-
 
 def _finite_moment(terms, weights, what: str) -> float:
     """The weighted sum of a thunk's terms, computed quietly; a ValueError

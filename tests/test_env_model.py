@@ -6,7 +6,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sibdep.env_model import (
@@ -257,19 +257,52 @@ def test_ensemble_sampling_follows_weights():
 def test_ensemble_sampling_matches_generator_choice():
     # Seeded results depend on member draws being exactly those of
     # Generator.choice with the ensemble weights: one uniform bisected on the
-    # table's CDF for a single trajectory, a searchsorted array for batches.
+    # ensemble's thresholds for a single trajectory, a count of the
+    # thresholds at or below each uniform for batches.
     ens = EnvironmentEnsemble((make_rich(), make_lean(), make_rich()),
                               np.array([0.541046142578125, 0.3, 0.158953857421875]))
-    cdf = ens._particle_table.cdf
-    assert [bisect_right(cdf, u) for u in (0.0, *cdf)] == \
-        ens._cdf.searchsorted([0.0, *cdf], side="right").tolist()
+    cdf = ens.weights.cumsum()
+    cdf /= cdf[-1]
+    thresholds = ens._thresholds
+    assert cdf[-1] == 1.0 and thresholds == tuple(cdf[:-1].tolist())
+    probes = [0.0, *thresholds, 1.0 - 2.0 ** -53]
+    assert [bisect_right(thresholds, u) for u in probes] == \
+        ens.member_index(np.array(probes)).tolist() == \
+        cdf.searchsorted(probes, side="right").tolist()
     a, b = np.random.default_rng(5), np.random.default_rng(5)
-    assert [bisect_right(cdf, a.random()) for _ in range(2000)] == [
+    assert [bisect_right(thresholds, a.random()) for _ in range(2000)] == [
         int(b.choice(3, p=ens.weights)) for _ in range(2000)]
     assert a.bit_generator.state == b.bit_generator.state
     assert np.array_equal(ens.sample_index_array((40, 50), a),
                           b.choice(3, size=(40, 50), p=ens.weights))
     assert a.bit_generator.state == b.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 300),
+       zeros=st.sampled_from([0.0, 0.3, 0.9]))
+@example(seed=0, size=256, zeros=0.3).via("the last uint8 size")
+@example(seed=1, size=257, zeros=0.3).via("the first uint16 size")
+@example(seed=2, size=3, zeros=0.0).via("no zero weight")
+def test_member_index_counts_as_searchsorted_on_the_choice_cdf(seed, size, zeros):
+    # zero weights repeat a threshold, and trailing ones put thresholds at
+    # 1.0, which no uniform reaches
+    gen = np.random.default_rng(seed)
+    w = gen.random(size) * (gen.random(size) >= zeros)
+    w[gen.integers(size)] += 1.0
+    ens = EnvironmentEnsemble((make_rich(),) * size, w / w.sum())
+    cdf = ens.weights.cumsum()   # as Generator.choice builds it
+    cdf /= cdf[-1]
+    edges = cdf[:-1]
+    u = np.concatenate([gen.random(64), [0.0, 1.0 - 2.0 ** -53], edges,
+                        np.nextafter(edges, 0.0)])
+    u = u[u < 1.0]
+    idx = ens.member_index(u)
+    assert idx.dtype == np.min_scalar_type(size - 1)
+    assert idx.shape == u.shape
+    assert np.array_equal(idx, cdf.searchsorted(u, side="right"))
+    grid = u[:64].reshape(8, 8)
+    assert np.array_equal(ens.member_index(grid), cdf.searchsorted(grid, side="right"))
 
 
 @pytest.mark.parametrize("order, size", [(1, 1), (2, 3), (3, 2)])
@@ -287,7 +320,9 @@ def test_particle_table_is_read_only_and_stacks_every_law(order, size):
     with pytest.raises(dataclasses.FrozenInstanceError):
         table.weights = ()
     assert table.type_sizes.tolist() == list(range(1, order + 1))
-    assert table.cdf == tuple(ens._cdf.tolist())
+    # the thresholds the coupled loop bisects are Python floats in a tuple
+    assert type(ens._thresholds) is tuple
+    assert {type(c) for c in ens._thresholds} == {float}
     # the coupled rows are nested tuples of Python ints, so they are immutable
     # and the coupled loop's sums cannot wrap
     assert {type(row) for law in table.coupled for row in (law, *law)} == {tuple}

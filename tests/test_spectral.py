@@ -1,4 +1,5 @@
 """Random matrix products, growth estimators, condition checks, calibration."""
+import hashlib
 import json
 import math
 import warnings
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from sibdep import moments as mo
 from sibdep.env_model import Environment, EnvironmentEnsemble, SiblingLaw
 from sibdep.errors import CalibrationError, DegenerateProductError
-from sibdep.presets import load_preset
+from sibdep.presets import PRESET_NAMES, load_preset
 from sibdep.rng import RngStream
 from sibdep.spectral import (
     ConditionParams,
@@ -241,15 +242,32 @@ def test_condition_report_contrasts(ab_equal, line_only, lean_only):
     assert lean.get("uniform_expansion_event").holds is False
 
 
-def test_condition_report_lookup_and_text(critical_pair):
+def test_seeded_spectral_output_is_pinned():
+    # sha256 of the three product estimators on subcritical_mix and critical
+    # (horizon 64, 5,120 replicas, so 2 chunks) and of the condition reports
+    # on every preset; recorded with the searchsorted member draw, so a moved
+    # member or a moved bit of any log norm shows
+    digest = hashlib.sha256()
+    for name in ("subcritical_mix", "critical"):
+        ens = load_preset(name)
+        for est in (estimate_lyapunov(ens, horizon=64, replicas=5120, seed=11),
+                    estimate_lambda_theta(ens, 1.5, horizon=64, replicas=5120, seed=12),
+                    lambda_prime_at_one(ens, horizon=64, replicas=5120, seed=13)):
+            digest.update(json.dumps(est.to_dict(), sort_keys=True).encode())
+    for name in PRESET_NAMES:
+        report = check_conditions(load_preset(name),
+                                  ConditionParams(horizon=64, replicas=512, seed=14))
+        digest.update(json.dumps(report.to_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == \
+        "500129c67aae5778eef90bebf7f3b666dbce0389bdaf187b13a5c9278d88bfca"
+
+
+def test_condition_report_lookup(critical_pair):
     report = check_conditions(critical_pair,
                               ConditionParams(horizon=32, replicas=16))
     assert report.get("zero_growth").id == "zero_growth"
     with pytest.raises(KeyError):
         report.get("no_such_check")
-    lines = report.summary_lines()
-    assert len(lines) == len(CHECK_IDS)
-    assert any("zero_growth" in ln and "holds" in ln for ln in lines)
 
 
 def _sparse_env(p: float) -> Environment:
