@@ -503,7 +503,13 @@ class EnvironmentEnsemble:
         floors the NaN of a q an ulp above 1.  Every member's maps run on
         every row and each row gathers its member's.  Gather positions are
         formed for _BLOCK generations at once, and every step writes into
-        buffers made once per call, so concurrent calls share nothing.
+        buffers made once per call, so concurrent calls share nothing.  The
+        gather runs in "wrap" mode, which leaves an index in range as it is
+        and, unlike the default "raise", writes straight into state instead
+        of through a temporary copy.  It checks no index: survival_step
+        checks its own, and every other caller draws its indices with
+        member_index or builds them from the members, so they lie in
+        [0, size) by construction.
         """
         rows, length = member_idx.shape
         counts, table = self._phi_tables
@@ -525,7 +531,7 @@ class EnvironmentEnsemble:
                     matmul(logs, counts, out=monomials)
                     expm1(monomials, out=monomials)
                     matmul(monomials, table, out=every)
-                    take(at, axis=0, out=state)
+                    take(at, axis=0, out=state, mode="wrap")
         return state
 
 

@@ -12,7 +12,6 @@ variable and defaults to 1.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +74,10 @@ def run_chunked(task, replicas: int, seed: int) -> np.ndarray:
     if workers <= 1 or len(layout) == 1:
         parts = [_one(entry) for entry in layout]
     else:
+        # imported here: concurrent.futures pulls in logging, which a run
+        # with one worker would pay for at every start
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_one, layout))
     return np.concatenate(parts)

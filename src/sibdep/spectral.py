@@ -10,11 +10,12 @@ nonnegative, so the norm of a product is also 1' m 1.  Every product is
 renormalized after each factor, so only the log of the scale grows and
 overflow never occurs; the kernel walks the factors in blocks of _BLOCK
 with one finiteness check per block, and the calibration evaluates its two
-bracket weights in one call.  Estimator horizons follow the product index:
-horizon n covers the product of n + 1 independently drawn factors and growth
-is normalized by 1/n.  Replica work runs through rng.run_chunked in chunks of a
-fixed 4096 replicas, one stream per chunk, so seeded results do not depend
-on the worker count, which only the SIBDEP_WORKERS environment variable sets.
+bracket weights in the same call as its first trial, at weight 1/2.
+Estimator horizons follow the product index: horizon n covers the product
+of n + 1 independently drawn factors and growth is normalized by 1/n.
+Replica work runs through rng.run_chunked in chunks of a fixed 4096
+replicas, one stream per chunk, so seeded results do not depend on the
+worker count, which only the SIBDEP_WORKERS environment variable sets.
 """
 
 from __future__ import annotations
@@ -73,10 +74,17 @@ def _indexed_log_norms(mats: np.ndarray, idx: np.ndarray) -> np.ndarray:
     once, every step writes into buffers made once per call, and finiteness
     is checked on the running logs once per block.  That check misses no
     collapse: a norm of 0 or inf leaves its row's log at -inf, inf or NaN for
-    good, and the block's logged scales name the first such step.
+    good, and the block's logged scales name the first such step.  An index
+    outside [0, K) would gather another row's block, so it raises
+    IndexError, checked once per call.  The gather then runs in "wrap" mode,
+    which leaves an index in range as it is and, unlike the default "raise",
+    writes straight into its output instead of through a temporary copy.
     """
     rows, length = idx.shape
     size, order = mats.shape[0], mats.shape[1]
+    low = 0 if idx.dtype.kind in "bu" else idx.min(initial=0)   # bool, unsigned: >= 0
+    if low < 0 or idx.max(initial=0) >= size:
+        raise IndexError(f"member indices must lie in [0, {size})")
     wide = np.asarray(mats, dtype=float).transpose(1, 0, 2).reshape(order, size * order)
     offsets = np.arange(rows) * size
     ones = np.ones(order)
@@ -96,7 +104,7 @@ def _indexed_log_norms(mats: np.ndarray, idx: np.ndarray) -> np.ndarray:
             add(idx[:, k0:k0 + n].T, offsets, out=pos[:n])
             for at, log_scale in steps[:n]:
                 matmul(x, wide, out=y)
-                take(at, axis=0, out=x)
+                take(at, axis=0, out=x, mode="wrap")
                 matmul(x, ones, out=scale)   # row sums; far cheaper than x.sum(axis=1)
                 log(scale, out=log_scale)
                 divide(x, col, out=x)
@@ -530,13 +538,30 @@ def calibrate_critical_pair(env_super: Environment, env_sub: Environment,
         idx = uniforms < weight   # True selects the expanding member
         return _growth_rate(_indexed_log_norms(mats, idx), horizon)
 
-    # At weights 1 and 0 every row is the same product, so one row each will do,
-    # in one call.  A lone replica is the exception: numpy hands a one-row
-    # product to BLAS routines that round differently, so it keeps a call each.
-    ends = np.zeros((2, factors), dtype=bool)
-    ends[0] = True
-    top_log, bottom_log = (_indexed_log_norms(mats, ends) if replicas > 1 else
-                           [_indexed_log_norms(mats, ends[k:k + 1])[0] for k in (0, 1)])
+    # At weights 1 and 0 every row is the same product, so one row each will do.
+    # Bisection always tries weight 1/2 first, so the two bracket rows go in
+    # front of that trial's rows, and the three weights take one call.  If a
+    # product in it collapses, the bracket is rerun alone, so a failed bracket
+    # reports as it would have and the trial's own call raises after it.  A
+    # lone replica keeps a call per weight: numpy hands a one-row product to
+    # BLAS routines that round differently.
+    first = None   # the growth at weight 1/2, once made
+    idx = np.empty((replicas + 2, factors), dtype=bool)
+    idx[0], idx[1] = True, False
+    np.less(uniforms, 0.5, out=idx[2:])
+    if replicas == 1:
+        logs = [_indexed_log_norms(mats, idx[k:k + 1])[0] for k in (0, 1)]
+    else:
+        try:
+            logs = _indexed_log_norms(mats, idx)
+        except DegenerateProductError:
+            pass   # rerun below, so that no error raised there chains to this one
+        else:
+            first = _growth_rate(logs[2:], horizon)
+        if first is None:
+            logs = _indexed_log_norms(mats, idx[:2])
+    del idx   # it must not live beside the next trial's index array
+    top_log, bottom_log = logs[:2]
     top = _growth_rate(np.full(replicas, top_log), horizon)
     bottom = _growth_rate(np.full(replicas, bottom_log), horizon)
     trace: list[tuple[float, float, float]] = []
@@ -554,7 +579,8 @@ def calibrate_critical_pair(env_super: Environment, env_sub: Environment,
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):   # no float left between them; a rerun would repeat mid
             break
-        est = growth_at(mid)
+        est = growth_at(mid) if first is None else first
+        first = None
         trace.append((mid, est.value, est.stderr))
         if abs(est.value) <= tol:
             return CalibrationResult(weight=mid, growth=est, iterations=it,

@@ -90,9 +90,11 @@ def test_indexed_log_norms_match_reference_product(case):
 @settings(max_examples=60, deadline=None)
 @given(case=_indexed_products(), data=st.data())
 def test_indexed_log_norms_rows_do_not_depend_on_their_company(case, data):
-    # the calibration's one call for its two bracket rows relies on this: a
-    # row's log norm is the same bits among all rows or any two or more of them;
-    # numpy hands a lone row to other BLAS routines, which may round differently
+    # the calibration's one call for its bracket rows and its first trial relies
+    # on this: a row's log norm is the same bits among all rows or any two or
+    # more of them.  Measured up to order 7; at order 8 BLAS row sums may move
+    # an ulp with the company.  numpy hands a lone row to other BLAS routines,
+    # which may round differently
     mats, idx = case
     every = _indexed_log_norms(mats, idx)
     rows = idx.shape[0]
@@ -115,6 +117,21 @@ def test_indexed_log_norms_name_the_collapse_step_across_blocks(step, row):
             _indexed_log_norms(mats, idx)
     assert exc.value.steps == step
     assert str(exc.value) == f"a replica's product norm collapsed at step {step}"
+
+
+@pytest.mark.parametrize("bad", [2, 7, -1])
+@pytest.mark.parametrize("row", [0, 2, 4])
+def test_indexed_log_norms_reject_member_indices_out_of_range(bad, row):
+    # a gather position is idx + row * size, so an index of size or more, or a
+    # negative one, would read another row's block instead of failing
+    mats = np.stack([np.eye(2), 2.0 * np.eye(2)])
+    idx = np.zeros((5, 12), dtype=np.intp)
+    idx[row, 6] = bad
+    with pytest.raises(IndexError, match=r"^member indices must lie in \[0, 2\)$"):
+        _indexed_log_norms(mats, idx)
+    idx[row, 6] = 1
+    np.testing.assert_array_equal(_indexed_log_norms(mats, idx),
+                                  [math.log(2.0) * (r == row) + math.log(2.0) for r in range(5)])
 
 
 def test_indexed_log_norms_report_collapse_step_quietly():
@@ -356,9 +373,51 @@ def test_calibration_brackets_equal_the_kernel_over_every_row():
                                   replicas=replicas, seed=seed)
     mats = _mean_matrices((bust, boom))
     uniforms = RngStream(seed, 0).generator().random((replicas, horizon + 1))
-    for entry, weight in zip(res.trace[:2], (0.0, 1.0)):
+    # the first trial shares the brackets' call and keeps its own call's bits
+    for entry, weight in zip(res.trace[:3], (0.0, 1.0, 0.5)):
         want = _growth_rate(_indexed_log_norms(mats, uniforms < weight), horizon)
         assert entry == (weight, want.value, want.stderr)
+
+
+def test_calibration_makes_one_kernel_call_per_iteration(monkeypatch):
+    from sibdep import spectral
+
+    boom, bust = load_preset("boom_bust").members
+    kernel, shapes = spectral._indexed_log_norms, []
+
+    def recorded(mats, idx):
+        shapes.append(idx.shape)
+        return kernel(mats, idx)
+
+    monkeypatch.setattr(spectral, "_indexed_log_norms", recorded)
+    res = calibrate_critical_pair(boom, bust, tol=5e-3, horizon=60, replicas=12, seed=0)
+    assert res.iterations >= 2
+    assert shapes == [(14, 61)] + [(12, 61)] * (res.iterations - 1)
+
+
+@pytest.mark.parametrize("replicas", [1, 2, 5])
+@pytest.mark.parametrize("mats, error", [
+    # both pure products grow or shrink, but every mixed product collapses: the
+    # bracket holds, and the first trial raises as its own call would
+    (np.stack([np.diag([0.0, 0.5]), np.diag([2.0, 0.0])]), DegenerateProductError),
+    # the same, with a bracket that does not hold: that is reported first
+    (np.stack([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])]), CalibrationError),
+])
+def test_calibration_reports_a_collapse_in_its_first_trial_after_the_bracket(
+        monkeypatch, rich, lean, replicas, mats, error):
+    from sibdep import spectral
+
+    monkeypatch.setattr(spectral, "_mean_matrices", lambda envs: mats)
+    with pytest.raises(error) as exc:
+        calibrate_critical_pair(rich, lean, horizon=30, replicas=replicas, seed=0)
+    assert exc.value.__context__ is None
+    if error is DegenerateProductError:
+        uniforms = RngStream(0, 0).generator().random((replicas, 31))
+        with pytest.raises(DegenerateProductError) as alone:
+            _indexed_log_norms(mats, uniforms < 0.5)
+        assert (str(exc.value), exc.value.steps) == (str(alone.value), alone.value.steps)
+    else:
+        assert [w for w, _, _ in exc.value.trace] == [0.0, 1.0]
 
 
 @pytest.mark.parametrize("sample, message", [
