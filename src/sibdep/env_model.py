@@ -17,6 +17,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
+import reprlib
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -41,22 +44,15 @@ EVAL_SLACK = 0.5
 _BLOCK = 8
 
 
-def _as_atom_items(atoms) -> list[tuple[tuple[int, ...], float]]:
-    if isinstance(atoms, Mapping):
-        items = list(atoms.items())
-    else:
-        items = [(t, w) for t, w in atoms]
-    return [(tuple(int(v) for v in t), float(w)) for t, w in items]
-
-
 @dataclass(frozen=True)
 class SiblingLaw:
     """Joint offspring law for one sibling-group size.
 
-    atoms maps canonical non-decreasing count tuples to the total probability
-    of their orbit under coordinate permutation.  Construction enforces the
-    structural shape (tuple arity, integer entries, canonical order, no
-    duplicates); numeric soundness is checked by validate_sibling_law.
+    atoms pairs canonical non-decreasing count tuples with the total
+    probability of their orbit under coordinate permutation.  Construction
+    owns the atom shape (arity, integer entries, canonical order, no
+    duplicates), with messages that start at the position, "atoms[0].tuple:
+    ..."; numeric soundness is checked by validate_sibling_law.
     """
 
     group_size: int
@@ -65,28 +61,30 @@ class SiblingLaw:
 
     def __post_init__(self):
         if not isinstance(self.group_size, int) or self.group_size < 1:
-            raise ValueError(f"group_size must be a positive integer, got {self.group_size!r}")
+            raise ValueError(f"group_size: must be a positive integer, got {self.group_size!r}")
         if not isinstance(self.order, int) or self.order < 1:
-            raise ValueError(f"order must be a positive integer, got {self.order!r}")
+            raise ValueError(f"order: must be a positive integer, got {self.order!r}")
         if self.group_size > self.order:
-            raise ValueError(
-                f"group_size {self.group_size} exceeds order {self.order}; "
-                "groups cannot outgrow the per-member litter cap"
-            )
-        items = _as_atom_items(self.atoms)
-        if not items:
-            raise ValueError("a sibling law needs at least one atom")
-        seen = set()
-        for t, _ in items:
+            raise ValueError(f"group_size: {self.group_size} exceeds order {self.order}; "
+                             "groups cannot outgrow the per-member litter cap")
+        items, seen = [], set()
+        for a, (t, w) in enumerate(self.atoms):
+            where = f"atoms[{a}].tuple"
             if len(t) != self.group_size:
-                raise ValueError(
-                    f"atom {t} has arity {len(t)}, expected {self.group_size}"
-                )
+                raise ValueError(f"{where}: arity {len(t)} does not match "
+                                 f"group_size {self.group_size}")
+            if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in t):
+                raise ValueError(f"{where}: entries must be integers, got {reprlib.repr(t)}")
+            t = tuple(int(v) for v in t)
             if any(t[r] > t[r + 1] for r in range(len(t) - 1)):
-                raise ValueError(f"atom {t} is not in canonical non-decreasing order")
+                raise ValueError(f"{where}: {list(t)} is not canonical "
+                                 "(entries must be non-decreasing)")
             if t in seen:
-                raise ValueError(f"duplicate atom {t}")
+                raise ValueError(f"{where}: duplicate atom {list(t)}")
             seen.add(t)
+            items.append((t, float(w)))
+        if not items:
+            raise ValueError("atoms: a sibling law needs at least one atom")
         items.sort(key=lambda kv: kv[0])
         object.__setattr__(self, "atoms", tuple(items))
 
@@ -235,9 +233,12 @@ class Environment:
                     f"environment has order {self.order}"
                 )
             by_size[law.group_size] = law
-        missing = [i for i in range(1, self.order + 1) if i not in by_size]
-        if missing:
-            raise ValueError(f"missing laws for group sizes {missing}")
+        if len(by_size) < self.order:   # sizes lie in 1..order: the gaps are missing
+            ends = [0, *sorted(by_size), self.order + 1]
+            gaps = [f"{a + 1}" + (f"..{b - 1}" if b - a > 2 else "")
+                    for a, b in zip(ends, ends[1:]) if b - a > 1]
+            more = f" and {len(gaps) - 4} more ranges" if len(gaps) > 4 else ""
+            raise ValueError(f"missing laws for group sizes {', '.join(gaps[:4])}{more}")
 
         reports = {i: validate_sibling_law(by_size[i]) for i in by_size}
         bad = {i: r for i, r in reports.items() if not r.ok}
@@ -482,8 +483,7 @@ class EnvironmentEnsemble:
         1 - phi(1 - q_r) under member member_idx[r]; one step of _survival_loop.
         An index outside [0, size) would gather another row's maps, so it raises."""
         idx = np.asarray(member_idx)
-        if idx.size and not (0 <= idx.min() and idx.max() < self.size):
-            raise IndexError(f"member indices must lie in [0, {self.size})")
+        _check_member_indices(idx, self.size)
         state = np.negative(q_rows, dtype=float, order="C")
         return 0.0 - self._survival_loop(state, idx[:, None])
 
@@ -535,6 +535,14 @@ class EnvironmentEnsemble:
         return state
 
 
+def _check_member_indices(idx: np.ndarray, size: int) -> None:
+    """Raise IndexError unless every member index lies in [0, size): the
+    gather of either kernel would read another row's block at any other."""
+    low = 0 if idx.dtype.kind in "bu" else idx.min(initial=0)   # bool, unsigned: >= 0
+    if low < 0 or idx.max(initial=0) >= size:
+        raise IndexError(f"member indices must lie in [0, {size})")
+
+
 def single_environment_ensemble(env: Environment) -> EnvironmentEnsemble:
     return EnvironmentEnsemble((env,), np.array([1.0]), label=env.label)
 
@@ -558,102 +566,75 @@ def single_environment_ensemble(env: Environment) -> EnvironmentEnsemble:
 #   ]
 # }
 #
-# Atom tuples must already be canonical (non-decreasing); the loader rejects
-# anything else with the exact document position.
+# The reader checks that each key is there and of its JSON kind, bools being
+# no numbers.  SiblingLaw owns the atom shape, Environment the laws and their
+# weights, EnvironmentEnsemble the mixture weights; the reader prefixes their
+# messages with the position of the object that failed.
+
+_KINDS = {   # JSON kind -> test of a parsed value
+    "a positive integer": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
+    "a number within float range": lambda v: isinstance(v, float) or (
+        isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max),
+    "an array": lambda v: isinstance(v, Sequence) and not isinstance(v, (str, bytes)),
+    "a string": lambda v: isinstance(v, str),
+}
 
 
-def _require(doc: Mapping, key: str, where: str):
+def _object(doc, where: str) -> Mapping:
+    if not isinstance(doc, Mapping):
+        raise EnsembleFormatError(f"{where}: must be an object, got {reprlib.repr(doc)}")
+    return doc
+
+
+def _field(doc: Mapping, key: str, where: str, kind: str, *default):
+    """doc[key] if it is of the JSON kind named; a missing key gives the default if any."""
     if key not in doc:
+        if default:
+            return default[0]
         raise EnsembleFormatError(f"{where}: missing required key {key!r}")
+    if not _KINDS[kind](doc[key]):
+        raise EnsembleFormatError(f"{where}.{key}: must be {kind}, got {reprlib.repr(doc[key])}")
     return doc[key]
 
 
 def ensemble_from_dict(doc: Mapping) -> EnvironmentEnsemble:
     """Build an ensemble from a parsed document, with position-precise errors."""
-    if not isinstance(doc, Mapping):
-        raise EnsembleFormatError("document root must be an object")
-    order = _require(doc, "N", "document root")
-    if not isinstance(order, int) or order < 1:
-        raise EnsembleFormatError(f"document root: N must be a positive integer, got {order!r}")
-    env_docs = _require(doc, "environments", "document root")
-    if not isinstance(env_docs, Sequence) or isinstance(env_docs, (str, bytes)):
-        raise EnsembleFormatError("document root: environments must be an array")
+    number, root = "a number within float range", "document root"
+    order = _field(_object(doc, root), "N", root, "a positive integer")
+    env_docs = _field(doc, "environments", root, "an array")
     if not env_docs:
-        raise EnsembleFormatError("document root: environments array is empty")
-
-    members = []
-    weights = []
+        raise EnsembleFormatError(f"{root}: environments array is empty")
+    members, weights = [], []
     for e, env_doc in enumerate(env_docs):
         where_env = f"environments[{e}]"
-        if not isinstance(env_doc, Mapping):
-            raise EnsembleFormatError(f"{where_env}: must be an object")
-        weight = _require(env_doc, "weight", where_env)
-        if not isinstance(weight, (int, float)) or isinstance(weight, bool):
-            raise EnsembleFormatError(f"{where_env}.weight: must be a number, got {weight!r}")
-        law_docs = _require(env_doc, "laws", where_env)
-        if not isinstance(law_docs, Sequence) or isinstance(law_docs, (str, bytes)):
-            raise EnsembleFormatError(f"{where_env}.laws: must be an array")
+        weights.append(float(_field(_object(env_doc, where_env), "weight", where_env, number)))
         laws = []
-        for l, law_doc in enumerate(law_docs):
+        for l, law_doc in enumerate(_field(env_doc, "laws", where_env, "an array")):
             where_law = f"{where_env}.laws[{l}]"
-            if not isinstance(law_doc, Mapping):
-                raise EnsembleFormatError(f"{where_law}: must be an object")
-            group_size = _require(law_doc, "group_size", where_law)
-            if not isinstance(group_size, int) or group_size < 1:
-                raise EnsembleFormatError(
-                    f"{where_law}.group_size: must be a positive integer, got {group_size!r}"
-                )
-            atom_docs = _require(law_doc, "atoms", where_law)
-            if not isinstance(atom_docs, Sequence) or isinstance(atom_docs, (str, bytes)):
-                raise EnsembleFormatError(f"{where_law}.atoms: must be an array")
+            group_size = _field(_object(law_doc, where_law), "group_size", where_law,
+                                "a positive integer")
             atoms = []
-            for a, atom_doc in enumerate(atom_docs):
+            for a, atom_doc in enumerate(_field(law_doc, "atoms", where_law, "an array")):
                 where_atom = f"{where_law}.atoms[{a}]"
-                if not isinstance(atom_doc, Mapping):
-                    raise EnsembleFormatError(f"{where_atom}: must be an object")
-                t = _require(atom_doc, "tuple", where_atom)
-                w = _require(atom_doc, "weight", where_atom)
-                if (not isinstance(t, Sequence)) or isinstance(t, (str, bytes)) or not all(
-                    isinstance(v, int) and not isinstance(v, bool) for v in t
-                ):
-                    raise EnsembleFormatError(
-                        f"{where_atom}.tuple: must be an array of integers, got {t!r}"
-                    )
-                if len(t) != group_size:
-                    raise EnsembleFormatError(
-                        f"{where_atom}.tuple: arity {len(t)} does not match "
-                        f"group_size {group_size}"
-                    )
-                tt = tuple(t)
-                if any(tt[r] > tt[r + 1] for r in range(len(tt) - 1)):
-                    raise EnsembleFormatError(
-                        f"{where_atom}.tuple: {list(tt)} is not canonical "
-                        "(entries must be non-decreasing)"
-                    )
-                if not isinstance(w, (int, float)) or isinstance(w, bool):
-                    raise EnsembleFormatError(
-                        f"{where_atom}.weight: must be a number, got {w!r}"
-                    )
-                atoms.append((tt, float(w)))
+                _object(atom_doc, where_atom)
+                atoms.append((_field(atom_doc, "tuple", where_atom, "an array"),
+                              _field(atom_doc, "weight", where_atom, number)))
             try:
                 laws.append(SiblingLaw(group_size, order, tuple(atoms)))
             except ValueError as exc:
-                raise EnsembleFormatError(f"{where_law}: {exc}") from exc
-        label = env_doc.get("label", "")
-        if not isinstance(label, str):
-            raise EnsembleFormatError(f"{where_env}.label: must be a string")
+                raise EnsembleFormatError(f"{where_law}.{exc}") from exc
+        label = _field(env_doc, "label", where_env, "a string", "")
         try:
             members.append(Environment(order, tuple(laws), label=label))
         except InvalidLawError as exc:   # keeps the per-law reports that validate prints
             raise InvalidLawError(f"{where_env}: {exc}", report=exc.report) from exc
         except ValueError as exc:
             raise type(exc)(f"{where_env}: {exc}") from exc
-        weights.append(float(weight))
-
-    label = doc.get("label", "")
-    if not isinstance(label, str):
-        raise EnsembleFormatError("document root: label must be a string")
-    return EnvironmentEnsemble(tuple(members), np.array(weights), label=label)
+    label = _field(doc, "label", root, "a string", "")
+    try:
+        return EnvironmentEnsemble(tuple(members), np.array(weights), label=label)
+    except ValueError as exc:
+        raise ValueError(f"{root}: {exc}") from exc
 
 
 def read_ensemble_doc(path) -> dict:
@@ -670,27 +651,17 @@ def load_ensemble(path) -> EnvironmentEnsemble:
     return ensemble_from_dict(read_ensemble_doc(path))
 
 
-def law_to_dict(law: SiblingLaw) -> dict:
-    return {
-        "group_size": law.group_size,
-        "atoms": [{"tuple": list(t), "weight": w} for t, w in law.atoms],
-    }
-
-
-def environment_to_dict(env: Environment, weight: float) -> dict:
-    out = {"weight": weight}
-    if env.label:
-        out["label"] = env.label
-    out["laws"] = [law_to_dict(law) for law in env.laws]
-    return out
-
-
 def ensemble_to_dict(ens: EnvironmentEnsemble) -> dict:
     out: dict = {"N": ens.order}
     if ens.label:
         out["label"] = ens.label
     out["environments"] = [
-        environment_to_dict(env, float(w)) for env, w in zip(ens.members, ens.weights)
+        {"weight": float(weight),
+         **({"label": env.label} if env.label else {}),
+         "laws": [{"group_size": law.group_size,
+                   "atoms": [{"tuple": list(t), "weight": w} for t, w in law.atoms]}
+                  for law in env.laws]}
+        for env, weight in zip(ens.members, ens.weights)
     ]
     return out
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moments as mo
-from .env_model import _BLOCK, Environment, EnvironmentEnsemble
+from .env_model import _BLOCK, Environment, EnvironmentEnsemble, _check_member_indices
 from .errors import (CalibrationError, DegenerateEnvironmentError,
                      DegenerateProductError, check_domains)
 from .records import Record
@@ -82,9 +82,7 @@ def _indexed_log_norms(mats: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """
     rows, length = idx.shape
     size, order = mats.shape[0], mats.shape[1]
-    low = 0 if idx.dtype.kind in "bu" else idx.min(initial=0)   # bool, unsigned: >= 0
-    if low < 0 or idx.max(initial=0) >= size:
-        raise IndexError(f"member indices must lie in [0, {size})")
+    _check_member_indices(idx, size)
     wide = np.asarray(mats, dtype=float).transpose(1, 0, 2).reshape(order, size * order)
     offsets = np.arange(rows) * size
     ones = np.ones(order)
@@ -561,9 +559,9 @@ def calibrate_critical_pair(env_super: Environment, env_sub: Environment,
         if first is None:
             logs = _indexed_log_norms(mats, idx[:2])
     del idx   # it must not live beside the next trial's index array
-    top_log, bottom_log = logs[:2]
-    top = _growth_rate(np.full(replicas, top_log), horizon)
-    bottom = _growth_rate(np.full(replicas, bottom_log), horizon)
+    # every row of a bracket is the same product: its growth is exact
+    top, bottom = (GrowthEstimate(float(log / horizon), 0.0, horizon, replicas)
+                   for log in logs[:2])
     trace: list[tuple[float, float, float]] = []
     trace.append((0.0, bottom.value, bottom.stderr))
     trace.append((1.0, top.value, top.stderr))

@@ -196,6 +196,7 @@ def test_c09_calibrated_critical_scaling_plateau():
                                       replicas=2048, seed=0)
         assert abs(res.growth.value) <= 1e-3
         assert res.weight == pytest.approx(0.541046142578125, abs=1e-12)
+        assert res.trace[0][2] == res.trace[1][2] == 0.0   # exact brackets
         mix = EnvironmentEnsemble((boom, bust),
                                   np.array([res.weight, 1.0 - res.weight]))
         rows = survival_scaling_scan(mix, 1, [64, 128, 256, 512],

@@ -134,6 +134,27 @@ def test_unreadable_configs_exit_2(capsys, tmp_path):
     assert "available" in json.loads(out)["error"]["message"]
 
 
+@pytest.mark.parametrize("edit, position", [
+    (lambda doc: doc.update(N=True), "document root.N"),
+    (lambda doc: doc["environments"][0]["laws"][0].update(group_size=True),
+     "environments[0].laws[0].group_size"),
+    (lambda doc: doc["environments"][0].update(weight=10 ** 400), "environments[0].weight"),
+    (lambda doc: doc["environments"][0]["laws"][0]["atoms"][0].update(weight=10 ** 400),
+     "environments[0].laws[0].atoms[0].weight"),
+])
+def test_validate_reports_a_wrong_json_kind_as_a_format_error(capsys, tmp_path, edit, position):
+    doc = read_json(preset_path("deterministic_line"))
+    assert doc["N"] == 1   # a bool group_size of 1 would pass an isinstance(int) check
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    rc, out = run_cli(capsys, "validate", "--config", str(bad))
+    err = json.loads(out)["error"]
+    assert rc == 2
+    assert err["type"] == "EnsembleFormatError"
+    assert err["message"].startswith(f"{position}: must be ")
+
+
 def test_moments_payload_on_stdout(capsys):
     rc, out = run_cli(capsys, "moments", "--config", "preset:supercritical")
     doc = json.loads(out)

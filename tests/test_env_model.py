@@ -1,7 +1,10 @@
 """Offspring-law containers, validation, evaluation, and serialization."""
 import dataclasses
+import functools
 import json
 import math
+import operator
+import re
 from bisect import bisect_right
 
 import numpy as np
@@ -17,10 +20,12 @@ from sibdep.env_model import (
     ensemble_to_dict,
     load_ensemble,
     random_environment,
+    read_ensemble_doc,
     single_environment_ensemble,
     validate_sibling_law,
 )
 from sibdep.errors import EnsembleFormatError, InvalidLawError
+from sibdep.presets import PRESET_NAMES, preset_path
 from sibdep.simulator import simulate_micro
 
 from conftest import (make_rich, make_lean, one_child_env, plain_survival_step,
@@ -445,3 +450,99 @@ def test_invalid_law_in_document_names_member():
         ]}]}
     with pytest.raises(InvalidLawError, match=r"environments\[0\]"):
         ensemble_from_dict(doc)
+
+
+def _coin_doc(**law):
+    """An N = 1 document with one fair-coin law; keyword args replace law keys."""
+    return {"N": 1, "environments": [{"weight": 1.0, "laws": [
+        {"group_size": 1, "atoms": [{"tuple": [0], "weight": 0.5},
+                                    {"tuple": [1], "weight": 0.5}], **law}]}]}
+
+
+def test_json_true_is_no_integer():
+    doc = _coin_doc()
+    doc["N"] = True
+    with pytest.raises(EnsembleFormatError,
+                       match=r"^document root\.N: must be a positive integer, got True$"):
+        ensemble_from_dict(doc)
+    with pytest.raises(EnsembleFormatError, match=r"^environments\[0\]\.laws\[0\]\.group_size: "
+                                                  r"must be a positive integer, got True$"):
+        ensemble_from_dict(_coin_doc(group_size=True))
+    with pytest.raises(EnsembleFormatError, match=r"^environments\[0\]\.laws\[0\]\.atoms\[1\]"
+                                                  r"\.tuple: entries must be integers"):
+        ensemble_from_dict(_coin_doc(atoms=[{"tuple": [0], "weight": 0.5},
+                                            {"tuple": [True], "weight": 0.5}]))
+
+
+def test_weights_beyond_float_range_name_their_position():
+    doc = _coin_doc()
+    doc["environments"][0]["weight"] = 10 ** 400
+    with pytest.raises(EnsembleFormatError, match=r"^environments\[0\]\.weight: must be "
+                                                  r"a number within float range, got 1000"):
+        ensemble_from_dict(doc)
+    doc = _coin_doc(atoms=[{"tuple": [0], "weight": 0.5}, {"tuple": [1], "weight": -10 ** 400}])
+    with pytest.raises(EnsembleFormatError, match=r"^environments\[0\]\.laws\[0\]\.atoms\[1\]"
+                                                  r"\.weight: must be a number within float"):
+        ensemble_from_dict(doc)
+    doc = _coin_doc()
+    doc["environments"][0]["weight"] = math.nan   # json.loads reads NaN
+    with pytest.raises(ValueError, match=r"^document root: ensemble weights must be finite$"):
+        ensemble_from_dict(doc)
+
+
+def test_missing_laws_report_stays_short_at_large_order():
+    doc = _coin_doc()
+    doc["N"] = 10 ** 7
+    doc["environments"][0]["laws"][0]["atoms"] = [{"tuple": [0], "weight": 1.0}]
+    with pytest.raises(ValueError, match="missing laws") as exc:
+        ensemble_from_dict(doc)
+    assert str(exc.value) == "environments[0]: missing laws for group sizes 2..10000000"
+    law = lambda i: SiblingLaw(i, 40, (((0,) * i, 1.0),))
+    with pytest.raises(ValueError, match=r"^missing laws for group sizes 1, 3\.\.5, 7, 9 "
+                                         r"and 3 more ranges$"):
+        Environment(40, tuple(law(i) for i in (2, 6, 8, 10, 12, 20)))
+
+
+def _json_paths(value, path=()):
+    """Every position in a parsed document, the root first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+# the JSON kind of a preset value; no preset holds a huge integer
+_KIND_OF = {bool: "bool", type(None): "null", str: "string", list: "list",
+            dict: "object", float: "float", int: "int"}
+
+
+_OTHER_KINDS = {
+    "bool": st.booleans(),
+    "null": st.none(),
+    "string": st.text(max_size=4),
+    "list": st.lists(st.integers(-1, 3), max_size=3),
+    "object": st.dictionaries(st.sampled_from(["N", "tuple", "weight"]),
+                              st.integers(0, 2), max_size=2),
+    "float": st.floats(),
+    "huge int": st.integers(2 ** 1024, 10 ** 400),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), name=st.sampled_from(PRESET_NAMES))
+def test_any_value_of_another_kind_gives_a_positioned_typed_error(data, name):
+    doc = read_ensemble_doc(preset_path(name))
+    path = data.draw(st.sampled_from(list(_json_paths(doc))), label="path")
+    parent = None if not path else functools.reduce(operator.getitem, path[:-1], doc)
+    old = doc if parent is None else parent[path[-1]]
+    kind = data.draw(st.sampled_from([k for k in _OTHER_KINDS if k != _KIND_OF[type(old)]]))
+    new = data.draw(_OTHER_KINDS[kind], label="value")
+    if parent is None:
+        doc = new
+    else:
+        parent[path[-1]] = new
+    with pytest.raises(ValueError) as exc:
+        ensemble_from_dict(doc)
+    assert type(exc.value) in (EnsembleFormatError, InvalidLawError, ValueError)
+    assert re.match(r"(document root|environments\[\d+\])[.:]", str(exc.value)), str(exc.value)

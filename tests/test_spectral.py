@@ -379,6 +379,18 @@ def test_calibration_brackets_equal_the_kernel_over_every_row():
         assert entry == (weight, want.value, want.stderr)
 
 
+def test_calibration_brackets_are_exact():
+    # every row at weight 0 or 1 is the same product, so the growth is its
+    # log norm over the horizon, with no spread to report
+    boom, bust = load_preset("boom_bust").members
+    horizon = 1000
+    res = calibrate_critical_pair(boom, bust, tol=5e-3, horizon=horizon, replicas=256, seed=0)
+    mats = _mean_matrices((bust, boom))
+    for (weight, value, stderr), member in zip(res.trace[:2], (0, 1)):
+        log = _indexed_log_norms(mats, np.full((256, horizon + 1), member, dtype=np.uint8))[0]
+        assert (weight, value, stderr) == (float(member), float(log / horizon), 0.0)
+
+
 def test_calibration_makes_one_kernel_call_per_iteration(monkeypatch):
     from sibdep import spectral
 
