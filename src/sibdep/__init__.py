@@ -60,7 +60,6 @@ from .spectral import (
     estimate_lambda_theta,
     estimate_lyapunov,
     lambda_prime_at_one,
-    product_lognorm,
 )
 from .simulator import (
     ConditionalSizeDistribution,
@@ -118,7 +117,6 @@ __all__ = [
     "MomentSet",
     "moment_set",
     # spectral
-    "product_lognorm",
     "GrowthEstimate",
     "estimate_lyapunov",
     "MomentGrowthEstimate",

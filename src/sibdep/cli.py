@@ -142,10 +142,14 @@ def verify_run_dir(out_dir) -> dict:
         if not path.is_file():
             mismatches.append({"file": name, "problem": "missing"})
             continue
+        text = path.read_text(encoding="utf-8", errors="replace")
         if name.endswith(".json"):
-            embedded = json.loads(path.read_text(encoding="utf-8")).get("config_hash")
+            try:   # an edit may leave no JSON object to read the hash from
+                embedded = json.loads(text).get("config_hash")
+            except (ValueError, RecursionError, AttributeError):
+                embedded = None
         else:
-            first = path.read_text(encoding="utf-8").splitlines()[0]
+            first = (text.splitlines() or [""])[0]
             embedded = first.removeprefix("# config_hash=") if first.startswith(
                 "# config_hash=") else None
         if embedded != chash:

@@ -8,8 +8,9 @@ weight of its permutation orbit.  An Environment bundles one law per group size
 1..N; an EnvironmentEnsemble is a finite mixture of environments, one drawn
 independently per generation.
 
-Generating functions follow the usual convention that a child count of zero
-contributes a factor 1, so phi and f are polynomials in (s_1, .., s_N) only.
+The joint generating function phi_i of a size-i group's child-group counts
+gives a child count of zero the factor 1; the library evaluates it only in
+survival form, and its plain power form is a reference in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -33,11 +34,6 @@ from .records import Record
 # Probability data must balance to this tolerance before the single
 # renormalization applied at construction time.
 VALIDATION_TOL = 1e-12
-
-# Generating functions are polynomials, so evaluation slightly above 1 is well
-# defined; the slack exists so finite-difference derivative probes can straddle
-# the point s = 1 symmetrically.
-EVAL_SLACK = 0.5
 
 # Steps whose gather positions a blocked kernel forms at once, here and in
 # spectral._indexed_log_norms; longer blocks cost more in working set than they save.
@@ -214,7 +210,7 @@ class Environment:
     """One complete reproduction regime: a sibling law for every group size 1..N.
 
     Laws are validated on construction and renormalized exactly once.  Derived
-    tables (marginals, pair marginals, atom weights and counts) are cached
+    tables (marginals, pair marginals, atom weights and child counts) are cached
     as read-only arrays, so instances are safe to share across worker threads.
     """
 
@@ -258,7 +254,6 @@ class Environment:
         marg = np.zeros((n, n + 1))
         pair = np.full((n, n + 1, n + 1), np.nan)
         weights = []
-        counts = []
         child_counts = []
         for i, law in enumerate(laws, start=1):
             w = law.weight_array()
@@ -268,19 +263,13 @@ class Environment:
                 second = (c.T * w) @ c - np.diag(w @ c)
                 pair[i - 1] = second / (i * (i - 1))
             weights.append(_frozen(w))
-            counts.append(_frozen(c))
             child_counts.append(_frozen(c[:, 1:]))
         object.__setattr__(self, "_marginals", _frozen(marg))
         object.__setattr__(self, "_pairs", _frozen(pair))
         object.__setattr__(self, "_atom_weights", tuple(weights))
-        object.__setattr__(self, "_atom_counts", tuple(counts))
         object.__setattr__(self, "_atom_child_counts", tuple(child_counts))
 
     # -- bookkeeping -------------------------------------------------------
-
-    def law(self, i: int) -> SiblingLaw:
-        self._check_size(i)
-        return self.laws[i - 1]
 
     @cached_property
     def _sibship_counts(self) -> tuple[np.ndarray, ...]:
@@ -304,9 +293,9 @@ class Environment:
         if not 1 <= i <= self.order:
             raise IndexError(f"group size {i} outside 1..{self.order}")
 
-    def _check_child(self, j: int, lowest: int = 0):
-        if not lowest <= j <= self.order:
-            raise IndexError(f"child count {j} outside {lowest}..{self.order}")
+    def _check_child(self, j: int):
+        if not 0 <= j <= self.order:
+            raise IndexError(f"child count {j} outside 0..{self.order}")
 
     # -- marginals ---------------------------------------------------------
 
@@ -315,10 +304,6 @@ class Environment:
         self._check_size(i)
         self._check_child(j)
         return float(self._marginals[i - 1, j])
-
-    def marginal_row(self, i: int) -> np.ndarray:
-        self._check_size(i)
-        return self._marginals[i - 1]
 
     def pair_marginal(self, i: int, j: int, k: int) -> float:
         """Joint child counts (j, k) of two distinct members of a size-i group."""
@@ -329,49 +314,7 @@ class Environment:
         self._check_child(k)
         return float(self._pairs[i - 1, j, k])
 
-    def pair_matrix(self, i: int) -> np.ndarray:
-        self._check_size(i)
-        if i < 2:
-            raise ValueError("pair marginals need a group of size at least 2")
-        return self._pairs[i - 1]
-
     # -- generating functions ---------------------------------------------
-
-    def _check_domain(self, s: np.ndarray):
-        if s.shape[-1] != self.order:
-            raise IndexError(f"s must have length {self.order}, got {s.shape[-1]}")
-        if np.any(s < 0.0) or np.any(s > 1.0 + EVAL_SLACK):
-            raise ValueError(
-                f"s entries must lie in [0, {1.0 + EVAL_SLACK}] "
-                "(slack above 1 exists for derivative probes)"
-            )
-
-    def phi(self, i: int, s: Sequence[float]) -> float:
-        """Joint generating function of the child-group type counts.
-
-        A group of size i produces one child group of size k for every member
-        with k >= 1 children; phi(i, s) averages prod_r s_(k_r) over the law,
-        with zero counts contributing the factor 1.
-        """
-        self._check_size(i)
-        arr = np.asarray(s, dtype=float)
-        self._check_domain(arr)
-        full = np.concatenate(([1.0], arr))
-        terms = np.prod(full[None, :] ** self._atom_counts[i - 1], axis=1)
-        return float(terms @ self._atom_weights[i - 1])
-
-    def f(self, i: int, s: Sequence[float]) -> float:
-        """Single-member marginal generating function with group-size weighting.
-
-        f(i, s) = p_i0 + sum_j p_ij s_j^j; its Jacobian at s = 1 is the particle
-        mean matrix j * p_ij.
-        """
-        self._check_size(i)
-        arr = np.asarray(s, dtype=float)
-        self._check_domain(arr)
-        row = self._marginals[i - 1]
-        j = np.arange(1, self.order + 1)
-        return float(row[0] + np.sum(row[1:] * arr ** j))
 
     def phi_map(self, s_rows: np.ndarray) -> np.ndarray:
         """Apply every phi_i to a batch of points; rows are points, columns types.
@@ -638,12 +581,14 @@ def ensemble_from_dict(doc: Mapping) -> EnvironmentEnsemble:
 
 
 def read_ensemble_doc(path) -> dict:
-    """Parse a JSON ensemble document; a syntax error names the path as given."""
+    """Parse a JSON ensemble document; one that does not parse names the path as given."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise EnsembleFormatError(f"{path}: invalid JSON at line {exc.lineno} "
                                   f"column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:   # not UTF-8, too long an integer, too deep
+        raise EnsembleFormatError(f"{path}: unreadable JSON: {exc}") from exc
 
 
 def load_ensemble(path) -> EnvironmentEnsemble:

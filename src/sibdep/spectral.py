@@ -1,10 +1,11 @@
 """Random products of mean matrices: growth rates, moment growth, diagnostics.
 
 The estimators and the calibration take environments; the product kernel
-_indexed_log_norms and its plain reference product_lognorm take matrices.
-_mean_matrices is the one crossing between the two: it stacks the members'
-mean matrices (group-level ones under the macro flag).  Every sampled
-product draws its members through EnvironmentEnsemble.sample_index_array.
+_indexed_log_norms takes matrices, and its plain one-factor-at-a-time
+reference lives in tests/oracles.py.  _mean_matrices is the one crossing
+between the two: it stacks the members' mean matrices (group-level ones
+under the macro flag).  Every sampled product draws its members through
+EnvironmentEnsemble.sample_index_array.
 Throughout, |m| is the entrywise absolute sum of a matrix; mean matrices are
 nonnegative, so the norm of a product is also 1' m 1.  Every product is
 renormalized after each factor, so only the log of the scale grows and
@@ -40,27 +41,6 @@ def _mean_matrices(envs, macro: bool = False) -> np.ndarray:
     if macro:
         return np.stack([mo.macro_moments(env).mean for env in envs])
     return np.stack([mo.mean_matrix(env) for env in envs])
-
-
-def product_lognorm(mats) -> float:
-    """Log norm of the right product over an explicit sequence of matrices.
-
-    The plain one-factor-at-a-time reference for the batched kernel below.
-    """
-    mats = [np.asarray(m, dtype=float) for m in mats]
-    if not mats:
-        raise ValueError("need at least one factor")
-    current = np.eye(mats[0].shape[0])
-    log_scale = 0.0
-    for k, m in enumerate(mats, start=1):
-        nxt = current @ m
-        scale = float(np.abs(nxt).sum())
-        if scale == 0.0 or not math.isfinite(scale):
-            raise DegenerateProductError(
-                f"product norm collapsed to {scale!r} at step {k}", steps=k)
-        current = nxt / scale
-        log_scale += math.log(scale)
-    return log_scale + math.log(float(np.abs(current).sum()))
 
 
 def _indexed_log_norms(mats: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -1,15 +1,20 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive: dictionaries over explicit states,
-closed-form eigenvalue formulas, plain rejection sampling.  Nothing imports
-package internals beyond the public law containers, so an error in the
-library's vectorized code cannot silently cancel against these.
+sums over a law's atoms, one matrix factor at a time, closed-form
+eigenvalue formulas, plain rejection sampling.  Laws are read only through
+their public ``atoms``, never through the tables the package caches from
+them, and nothing is imported from the package but public names of its top
+level, so an error in the library's vectorized code cannot silently cancel
+against these.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from sibdep import DegenerateProductError
 
 
 # -- exact group-chain enumeration ----------------------------------------
@@ -139,6 +144,47 @@ def conditional_size_law(ens, initial_type: int, horizon: int,
     support = sorted(sizes)
     probs = np.array([sizes[s] / total for s in support])
     return np.array(support), probs, lost
+
+
+# -- generating functions from atoms -------------------------------------
+
+def phi(law, s) -> float:
+    """Joint generating function of the child-group counts of one group:
+    the atoms' mean of prod_r s_(c_r) over the members r with c_r >= 1
+    children, a member without children giving the factor 1."""
+    total = sum(w for _, w in law.atoms)
+    return sum(w / total * math.prod(s[c - 1] for c in t if c > 0)
+               for t, w in law.atoms)
+
+
+def f(law, s) -> float:
+    """Marginal generating function of one member, p_0 + sum_j p_j s_j^j,
+    where p_j is the chance that a given member has j children."""
+    total = sum(w for _, w in law.atoms)
+    return sum(w / total * sum(1.0 if c == 0 else s[c - 1] ** c for c in t) / len(t)
+               for t, w in law.atoms)
+
+
+# -- matrix products ------------------------------------------------------
+
+def product_lognorm(mats) -> float:
+    """Log norm of the right product of an explicit sequence of matrices,
+    renormalized after each factor; a norm of 0 or inf raises
+    DegenerateProductError naming the step."""
+    mats = [np.asarray(m, dtype=float) for m in mats]
+    if not mats:
+        raise ValueError("need at least one factor")
+    current = np.eye(mats[0].shape[0])
+    log_scale = 0.0
+    for k, m in enumerate(mats, start=1):
+        nxt = current @ m
+        scale = float(np.abs(nxt).sum())
+        if scale == 0.0 or not math.isfinite(scale):
+            raise DegenerateProductError(
+                f"product norm collapsed to {scale!r} at step {k}", steps=k)
+        current = nxt / scale
+        log_scale += math.log(scale)
+    return log_scale + math.log(float(np.abs(current).sum()))
 
 
 # -- eigenvalue cross-checks ----------------------------------------------

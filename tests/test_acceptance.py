@@ -80,7 +80,8 @@ def test_c01_group_level_moments_exact():
             second = macro_second_by_enumeration(env)
             assert np.max(np.abs(macro.second - second)) <= 1e-12
             for gi in range(2, n + 1):
-                pairs = env.pair_matrix(gi)[1:, 1:]
+                pairs = np.array([[env.pair_marginal(gi, j, k) for k in range(1, n + 1)]
+                                  for j in range(1, n + 1)])
                 assert np.max(np.abs(macro.second[gi - 1]
                                      - gi * (gi - 1) * pairs)) <= 1e-12
 

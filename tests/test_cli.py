@@ -134,6 +134,21 @@ def test_unreadable_configs_exit_2(capsys, tmp_path):
     assert "available" in json.loads(out)["error"]["message"]
 
 
+@pytest.mark.parametrize("raw", [
+    b'{"N": ' + b"1" * 5000 + b"}",          # past the integer conversion limit
+    b'{"N": 1, "label": "\xff"}',             # not UTF-8
+    b"[" * 100_000 + b"]" * 100_000,          # deeper than the parser recurses
+], ids=["long-integer", "not-utf8", "deep-nesting"])
+def test_undecodable_configs_exit_2_naming_the_path(capsys, tmp_path, raw):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(raw)
+    rc, out = run_cli(capsys, "validate", "--config", str(cfg))
+    err = json.loads(out)["error"]
+    assert rc == 2
+    assert err["type"] == "EnsembleFormatError"
+    assert err["message"].startswith(f"{cfg}: unreadable JSON: ")
+
+
 @pytest.mark.parametrize("edit, position", [
     (lambda doc: doc.update(N=True), "document root.N"),
     (lambda doc: doc["environments"][0]["laws"][0].update(group_size=True),
@@ -258,6 +273,23 @@ def test_manifest_digests_catch_edited_results(capsys, tmp_path):
     assert [(m["file"], m["problem"]) for m in report["mismatches"]] == [
         ("survival.csv", "digest mismatch"), ("survival.json", "digest mismatch")]
     assert report["mismatches"][0]["recorded"] == manifest["sha256"]["survival.csv"]
+
+
+@pytest.mark.parametrize("name, text", [
+    ("survival.json", "not json"),
+    ("survival.json", "[1,2]"),
+    ("survival.csv", ""),
+], ids=["json-unparsable", "json-not-an-object", "csv-emptied"])
+def test_verify_run_dir_reports_files_edited_past_parsing(capsys, tmp_path, name, text):
+    run_cli(capsys, "survival", "--config", "preset:critical", "--horizon", "4",
+            "--replicas", "64", "--out", str(tmp_path))
+    recorded = read_json(tmp_path / "manifest.json")["sha256"][name]
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    report = verify_run_dir(tmp_path)
+    assert report["ok"] is False
+    assert report["mismatches"] == [
+        {"file": name, "problem": "config hash mismatch", "embedded": None},
+        {"file": name, "problem": "digest mismatch", "recorded": recorded}]
 
 
 def test_survival_rejects_replica_floor(capsys):

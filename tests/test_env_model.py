@@ -28,6 +28,7 @@ from sibdep.errors import EnsembleFormatError, InvalidLawError
 from sibdep.presets import PRESET_NAMES, preset_path
 from sibdep.simulator import simulate_micro
 
+import oracles
 from conftest import (make_rich, make_lean, one_child_env, plain_survival_step,
                       random_ensemble, same_bits)
 
@@ -110,10 +111,11 @@ def test_pair_matrix_symmetric_and_row_consistent():
     for _ in range(20):
         order = int(gen.integers(2, 6))
         env = random_environment(gen, order)
+        counts = range(order + 1)
         for i in range(2, order + 1):
-            pm = env.pair_matrix(i)
+            pm = np.array([[env.pair_marginal(i, j, k) for k in counts] for j in counts])
             assert np.allclose(pm, pm.T, atol=1e-14)
-            assert np.allclose(pm.sum(axis=1), env.marginal_row(i),
+            assert np.allclose(pm.sum(axis=1), [env.marginal(i, j) for j in counts],
                                atol=1e-12)
 
 
@@ -122,16 +124,17 @@ def test_marginal_row_sums_to_one():
     for _ in range(10):
         env = random_environment(gen, int(gen.integers(1, 6)))
         for i in range(1, env.order + 1):
-            assert env.marginal_row(i).sum() == pytest.approx(1.0, abs=1e-12)
+            row = [env.marginal(i, j) for j in range(env.order + 1)]
+            assert sum(row) == pytest.approx(1.0, abs=1e-12)
 
 
 # -- generating maps -------------------------------------------------------
 
 def test_phi_and_f_frozen_values():
-    env = make_rich()
-    assert env.phi(2, (0.5, 0.5)) == pytest.approx(0.425, abs=1e-12)
-    assert env.f(2, (0.5, 0.5)) == pytest.approx(0.5875, abs=1e-12)
-    assert env.phi(1, (0.0, 0.0)) == pytest.approx(0.2, abs=1e-15)
+    size_1, size_2 = make_rich().laws
+    assert oracles.phi(size_2, (0.5, 0.5)) == pytest.approx(0.425, abs=1e-12)
+    assert oracles.f(size_2, (0.5, 0.5)) == pytest.approx(0.5875, abs=1e-12)
+    assert oracles.phi(size_1, (0.0, 0.0)) == pytest.approx(0.2, abs=1e-15)
 
 
 def test_phi_fixed_point_and_monotonicity():
@@ -139,8 +142,8 @@ def test_phi_fixed_point_and_monotonicity():
     for _ in range(10):
         env = random_environment(gen, int(gen.integers(2, 5)))
         ones = np.ones(env.order)
-        for i in range(1, env.order + 1):
-            assert env.phi(i, ones) == pytest.approx(1.0, abs=1e-12)
+        for law in env.laws:
+            assert oracles.phi(law, ones) == pytest.approx(1.0, abs=1e-12)
         # survival 0 is a fixed point of the kernel, exactly
         zeros = np.zeros((1, env.order))
         assert np.array_equal(
@@ -150,16 +153,16 @@ def test_phi_fixed_point_and_monotonicity():
         hi = lo + gen.uniform(0.0, 0.5, env.order)
         maps = env.phi_map(np.stack([lo, hi]))
         assert np.all(maps[0] <= maps[1] + 1e-14)
-        for i in range(1, env.order + 1):
-            assert env.phi(i, lo) <= env.phi(i, hi) + 1e-14
+        for law in env.laws:
+            assert oracles.phi(law, lo) <= oracles.phi(law, hi) + 1e-14
 
 
 def test_phi_map_matches_scalar_phi():
     env = make_lean()
     s = np.array([0.3, 0.8])
     vec = env.phi_map(s[None, :])[0]
-    assert vec[0] == pytest.approx(env.phi(1, s), abs=1e-15)
-    assert vec[1] == pytest.approx(env.phi(2, s), abs=1e-15)
+    assert vec[0] == pytest.approx(oracles.phi(env.laws[0], s), abs=1e-15)
+    assert vec[1] == pytest.approx(oracles.phi(env.laws[1], s), abs=1e-15)
 
 
 def test_phi_map_batches_rows_independently():
@@ -167,7 +170,7 @@ def test_phi_map_batches_rows_independently():
     rows = np.array([[0.1, 0.9], [0.5, 0.5], [1.0, 0.0]])
     batched = env.phi_map(rows)
     for r, row in enumerate(rows):
-        want = [env.phi(i, row) for i in range(1, env.order + 1)]
+        want = [oracles.phi(law, row) for law in env.laws]
         np.testing.assert_allclose(batched[r], want, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(batched[r], env.phi_map(row[None, :])[0],
                                    rtol=0.0, atol=1e-15)
@@ -206,9 +209,9 @@ def test_phi_step_and_phi_map_match_pointwise_phi(case):
         assert same_bits(maps[m], 1.0 - plain_survival_step(alone, 1.0 - q, np.zeros_like(idx)))
     for r, row in enumerate(q):
         env = ens.members[idx[r]]
-        want = [1.0 - env.phi(i, 1.0 - row) for i in range(1, ens.order + 1)]
+        want = [1.0 - oracles.phi(law, 1.0 - row) for law in env.laws]
         np.testing.assert_allclose(step[r], want, rtol=0.0, atol=1e-14)
-        want = [env.phi(i, row) for i in range(1, ens.order + 1)]
+        want = [oracles.phi(law, row) for law in env.laws]
         np.testing.assert_allclose(maps[idx[r]][r], want, rtol=0.0, atol=1e-14)
 
 
@@ -222,16 +225,6 @@ def test_survival_step_rejects_member_indices_out_of_range():
             ens.survival_step(q, np.array(idx))
     assert same_bits(ens.survival_step(q, np.array([1, 0])),
                      plain_survival_step(ens, q, np.array([1, 0])))
-
-
-def test_phi_rejects_out_of_box_arguments():
-    # evaluation allows slack up to 1.5 for derivative probes, nothing beyond
-    env = make_rich()
-    assert env.phi(1, (1.5, 1.0)) > 1.0
-    with pytest.raises(ValueError):
-        env.phi(1, (1.6, 0.0))
-    with pytest.raises(ValueError):
-        env.f(1, (-0.1, 0.0))
 
 
 # -- sampling --------------------------------------------------------------

@@ -15,8 +15,7 @@ from oracles import perron_2x2
 
 
 def same_laws(env_a, env_b):
-    for i in range(1, env_a.order + 1):
-        la, lb = env_a.law(i), env_b.law(i)
+    for la, lb in zip(env_a.laws, env_b.laws, strict=True):
         assert [a[0] for a in la.atoms] == [b[0] for b in lb.atoms]
         np.testing.assert_allclose([a[1] for a in la.atoms],
                                    [b[1] for b in lb.atoms], rtol=0, atol=1e-14)
@@ -38,8 +37,8 @@ def test_every_preset_loads_valid():
         assert ens.size >= 1
         assert ens.weights.sum() == pytest.approx(1.0, abs=1e-12)
         for env in ens.members:
-            for i in range(1, env.order + 1):
-                assert validate_sibling_law(env.law(i)).ok
+            for law in env.laws:
+                assert validate_sibling_law(law).ok
 
 
 def test_critical_preset_is_exactly_balanced(critical_pair):

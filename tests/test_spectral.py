@@ -23,8 +23,9 @@ from sibdep.spectral import (
     estimate_lambda_theta,
     estimate_lyapunov,
     lambda_prime_at_one,
-    product_lognorm,
 )
+
+from oracles import product_lognorm
 
 CHECK_IDS = {
     "mean_norm_moment", "support_irreducible", "entry_ratio_bounded",
