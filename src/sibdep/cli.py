@@ -128,10 +128,19 @@ def verify_run_dir(out_dir) -> dict:
 
     Returns a report dict; ``ok`` is False when any listed file is missing,
     carries a different embedded config hash than the manifest records, or
-    no longer has the content digest the manifest records.
+    no longer has the content digest the manifest records.  A manifest that
+    is missing, or no JSON object with ``config_hash`` and ``results`` keys,
+    is the one mismatch, with no hash and no file checked.
     """
     out = Path(out_dir)
-    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError):
+        manifest = None
+    if not (isinstance(manifest, dict) and {"config_hash", "results"} <= manifest.keys()):
+        problem = "malformed" if (out / "manifest.json").is_file() else "missing"
+        return {"out_dir": str(out), "config_hash": None, "checked": [],
+                "mismatches": [{"file": "manifest.json", "problem": problem}], "ok": False}
     chash = manifest["config_hash"]
     digests = manifest.get("sha256", {})
     mismatches = []

@@ -336,6 +336,7 @@ class ParticleTable:
     children: np.ndarray             # (members, N, P, N) child-group counts, padded alike
     coupled: tuple[tuple, ...]       # per law and atom: [child-group counts | sibship counts]
     type_sizes: np.ndarray           # (N,) group size of each type
+    members: np.ndarray              # (members, 1, 1) member ids, as member_index types them
 
 
 @dataclass(frozen=True)
@@ -418,8 +419,9 @@ class EnvironmentEnsemble:
             m, k = divmod(law, n)
             pvals[m, k, 0, width - w.shape[0]:] = w
             children[m, k, width - c.shape[0]:] = c
+        ids = np.arange(self.size, dtype=np.min_scalar_type(self.size - 1))
         return ParticleTable(weights, _frozen(pvals), _frozen(children), coupled,
-                             _frozen(np.arange(1, n + 1)))
+                             _frozen(np.arange(1, n + 1)), _frozen(ids.reshape(-1, 1, 1)))
 
     def survival_step(self, q_rows: np.ndarray, member_idx: np.ndarray) -> np.ndarray:
         """One backward generation in survival form: row r becomes

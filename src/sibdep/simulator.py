@@ -8,15 +8,17 @@ loops read one read-only table per ensemble.  The forward driver draws a
 uniform for every replica but carries only the live rows: they alone get
 a member, by `EnvironmentEnsemble.member_index`, are advanced by one
 multinomial call over a (member, type, row) grid, and reach the
-`step(t, rows, counts, sizes)` hook.  Single trajectories bookkeep every
-draw twice, by sibship sizes and by child-group tables, in one
-(horizon + 1, 2N) array; each route is a `Trajectory`.  Their loop works
-in Python ints and skips the multinomial of a one-atom law.  The quenched
-engine never simulates populations at all: for a fixed environment
-sequence it composes q -> 1 - phi(1 - q) backward from survival 1, giving
-survival probabilities that are exact up to float rounding even where
-they are tiny, and Monte Carlo enters only through the environment
-sequence.
+`step(t, rows, counts, sizes)` hook.  Rows move by 1-D `take` and
+`compress` gathers, never by boolean masks or fancy indexes; the paths
+record keeps ids and individual counts and takes logs once per chunk.
+Single trajectories bookkeep every draw twice, by sibship sizes and by
+child-group tables, in one (horizon + 1, 2N) array; each route is a
+`Trajectory`.  Their loop works in Python ints and skips the multinomial
+of a one-atom law.  The quenched engine never simulates populations at
+all: for a fixed environment sequence it composes q -> 1 - phi(1 - q)
+backward from survival 1, giving survival probabilities that are exact up
+to float rounding even where they are tiny, and Monte Carlo enters only
+through the environment sequence.
 
 Survival estimates therefore carry a method tag: "quenched-exact" for the
 composition route, "particle-mc" for the particle route.  Conditional-law
@@ -115,7 +117,7 @@ def _advance_batch(counts, member_idx, table, gen, generation, cap=POPULATION_CA
     contract's member -> type -> ascending row, and a zero count draws
     nothing.  The counts stay int64, since they can reach INT64_MAX // N.
     """
-    grid = counts.T * (member_idx == np.arange(table.pvals.shape[0])[:, None, None])
+    grid = counts.T * (member_idx == table.members)
     new = np.matmul(gen.multinomial(grid, table.pvals), table.children).sum(axis=(0, 1))
     sizes = new @ table.type_sizes
     worst = int(sizes.max(initial=0))
@@ -134,8 +136,9 @@ def _forward(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
 
     Carries only the live replicas: `rows` holds their ascending ids and
     `counts` their group counts, one row each.  Every generation draws one
-    uniform per replica, dead or alive, so the streams do not depend on who
-    died, but only live rows are mapped to members or draw multinomials.
+    uniform per replica, dead or alive, into one buffer, so the streams do
+    not depend on who died, but only live rows, gathered by `take`, are
+    mapped to members or draw multinomials, and `compress` drops the dead.
     `step(t, rows, counts, sizes)`, when given, sees generation t's new
     counts and individual counts of the rows live before it, dead ones
     included, and may change both in place; rows still empty after it are
@@ -146,15 +149,16 @@ def _forward(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
     rows = np.arange(size)
     counts = np.zeros((size, ens.order), dtype=np.int64)
     counts[:, initial_type - 1] = 1
+    u = np.empty(size)
     for t in range(1, horizon + 1):
-        u = gen.random(size)
-        idx = ens.member_index(u[rows] if rows.shape[0] < size else u)
+        gen.random(out=u)
+        idx = ens.member_index(u.take(rows) if rows.shape[0] < size else u)
         counts, sizes = _advance_batch(counts, idx, table, gen, t, cap)
         if step is not None:
             step(t, rows, counts, sizes)
         live = sizes > 0
         if not live.all():
-            rows, counts = rows[live], counts[live]
+            rows, counts = rows.compress(live), counts.compress(live, axis=0)
             if not rows.shape[0]:
                 break
     return rows, counts
@@ -402,8 +406,11 @@ def _survivor_sizes(ens, initial_type, horizon, replicas, seed, resample):
                     survivors=0, required=1,
                 )
             if n_dead:
-                src = gen.choice(np.flatnonzero(~dead), size=n_dead)
-                counts[dead], sizes[dead] = counts[src], sizes[src]
+                # every source is a live row, which maps to itself
+                src = np.arange(size)
+                src[dead] = gen.choice(np.flatnonzero(~dead), size=n_dead)
+                counts.take(src, axis=0, out=counts)
+                sizes.take(src, out=sizes)
 
         _, counts = _forward(ens, initial_type, horizon, gen, size,
                              step=refill if resample else None)
@@ -513,20 +520,19 @@ def log_population_path(ens: EnvironmentEnsemble, initial_type: int, horizon: in
                          f"at alpha={alpha!r}")
 
     def task(gen, size):
-        # per generation, the ids and log sizes of the replicas live after it
+        # per generation, the ids and individual counts of the replicas live before it
         history = []
-
-        def record(t, rows, counts, sizes):
-            live = sizes > 0
-            history.append((rows[live], np.log(sizes[live])))
-
-        survivors, _ = _forward(ens, initial_type, horizon, gen, size, cap, record)
+        survivors, _ = _forward(ens, initial_type, horizon, gen, size, cap,
+                                lambda t, rows, counts, sizes: history.append((rows, sizes)))
+        grown = np.empty((horizon, survivors.shape[0]), dtype=np.int64)
+        # a survivor was live at every generation, so each search hits
+        for t, (rows, sizes) in enumerate(history):
+            sizes.take(rows.searchsorted(survivors), out=grown[t])
         logs = np.empty((survivors.shape[0], horizon + 1))
         logs[:, 0] = math.log(initial_type)
-        # a survivor was live at every generation, so each search hits
-        for t, (rows, values) in enumerate(history, start=1):
-            logs[:, t] = values[rows.searchsorted(survivors)]
-        return logs * scale
+        np.log(grown.T, out=logs[:, 1:])
+        logs *= scale
+        return logs
 
     values = run_chunked(task, replicas, seed)
     if values.shape[0] == 0:

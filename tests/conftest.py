@@ -4,10 +4,14 @@ The two-type fixtures here are built inline rather than loaded from the
 bundled presets, so preset files and in-code definitions can be checked
 against each other.
 """
+import math
+
 import numpy as np
 import pytest
 
+from sibdep import simulator
 from sibdep.env_model import Environment, EnvironmentEnsemble, SiblingLaw, random_environment
+from sibdep.errors import InsufficientSurvivorsError
 
 
 def make_rich() -> Environment:
@@ -77,6 +81,73 @@ def plain_survival_step(ens: EnvironmentEnsemble, q: np.ndarray,
         logs = np.fmax(np.log1p(-q), -1e300)
     every = (-np.expm1(logs @ counts) @ table).reshape(q.shape[0], ens.size, ens.order)
     return every[np.arange(q.shape[0]), member_idx]
+
+
+def plain_forward(ens, initial_type, horizon, gen, size, cap=simulator.POPULATION_CAP,
+                  step=None):
+    """The particle driver with boolean-mask and fancy-index row moves, the
+    reference for the 1-D gathers of `simulator._forward`: a fresh uniform
+    array per generation, `u[rows]` for the live rows' uniforms, and
+    `rows[live]`, `counts[live]` to drop the dead."""
+    table = ens._particle_table
+    rows = np.arange(size)
+    counts = np.zeros((size, ens.order), dtype=np.int64)
+    counts[:, initial_type - 1] = 1
+    for t in range(1, horizon + 1):
+        u = gen.random(size)
+        idx = ens.member_index(u[rows] if rows.shape[0] < size else u)
+        counts, sizes = simulator._advance_batch(counts, idx, table, gen, t, cap)
+        if step is not None:
+            step(t, rows, counts, sizes)
+        live = sizes > 0
+        if not live.all():
+            rows, counts = rows[live], counts[live]
+            if not rows.shape[0]:
+                break
+    return rows, counts
+
+
+def plain_refill(gen, size):
+    """The resample hook of `simulator._survivor_sizes` with mask indexing:
+    the drawn live rows are assigned to the dead ones through masks."""
+    def refill(t, rows, counts, sizes):
+        dead = sizes == 0
+        n_dead = int(dead.sum())
+        if n_dead == size:
+            raise InsufficientSurvivorsError(
+                f"every walker died at generation {t}; "
+                "the regime is too close to instant extinction",
+                survivors=0, required=1,
+            )
+        if n_dead:
+            src = gen.choice(np.flatnonzero(~dead), size=n_dead)
+            counts[dead], sizes[dead] = counts[src], sizes[src]
+    return refill
+
+
+def plain_survivor_sizes(ens, initial_type, horizon, gen, size):
+    """One resampled chunk of `simulator._survivor_sizes` on `plain_forward`."""
+    _, counts = plain_forward(ens, initial_type, horizon, gen, size,
+                              step=plain_refill(gen, size))
+    return counts @ ens._particle_table.type_sizes
+
+
+def plain_path_logs(ens, initial_type, horizon, gen, size, cap, scale):
+    """One chunk of `simulator.log_population_path` on `plain_forward`: the
+    record keeps the live rows' ids and log sizes every generation, and the
+    survivors' columns are filled one generation at a time."""
+    history = []
+
+    def record(t, rows, counts, sizes):
+        live = sizes > 0
+        history.append((rows[live], np.log(sizes[live])))
+
+    survivors, _ = plain_forward(ens, initial_type, horizon, gen, size, cap, record)
+    logs = np.empty((survivors.shape[0], horizon + 1))
+    logs[:, 0] = math.log(initial_type)
+    for t, (rows, values) in enumerate(history, start=1):
+        logs[:, t] = values[rows.searchsorted(survivors)]
+    return logs * scale
 
 
 def same_bits(a, b) -> bool:

@@ -292,6 +292,27 @@ def test_verify_run_dir_reports_files_edited_past_parsing(capsys, tmp_path, name
         {"file": name, "problem": "digest mismatch", "recorded": recorded}]
 
 
+@pytest.mark.parametrize("text, problem", [
+    (None, "missing"),
+    ("not json", "malformed"),
+    ("[1]", "malformed"),
+    ("\"survival.json\"", "malformed"),
+    ('{"results": ["survival.json"]}', "malformed"),
+    ('{"config_hash": "00"}', "malformed"),
+], ids=["missing", "unparsable", "a-list", "a-string", "no-config-hash", "no-results"])
+def test_verify_run_dir_reports_a_bad_manifest(capsys, tmp_path, text, problem):
+    run_cli(capsys, "survival", "--config", "preset:critical", "--horizon", "4",
+            "--replicas", "64", "--out", str(tmp_path))
+    manifest = tmp_path / "manifest.json"
+    if text is None:
+        manifest.unlink()
+    else:
+        manifest.write_text(text, encoding="utf-8")
+    assert verify_run_dir(tmp_path) == {
+        "out_dir": str(tmp_path), "config_hash": None, "checked": [],
+        "mismatches": [{"file": "manifest.json", "problem": problem}], "ok": False}
+
+
 def test_survival_rejects_replica_floor(capsys):
     rc, out = run_cli(capsys, "survival", "--config", "preset:critical",
                       "--replicas", "1")

@@ -32,8 +32,9 @@ from sibdep.simulator import (
     total_variation_distance,
 )
 
+import conftest
 from conftest import (dead_end_env, make_lean, make_line, make_rich, one_child_env,
-                      plain_survival_step, random_ensemble, same_bits)
+                      plain_refill, plain_survival_step, random_ensemble, same_bits)
 from oracles import annealed_survival, conditional_size_law, enumerate_survival
 
 
@@ -160,18 +161,6 @@ def reference_forward(ens, initial_type, horizon, gen, size, step=None):
     return counts
 
 
-def resample_hook(gen):
-    def refill(t, rows, counts, sizes):
-        dead = ~counts.any(axis=1)
-        if dead.all():
-            raise InsufficientSurvivorsError(f"every walker died at {t}",
-                                             survivors=0, required=1)
-        if dead.any():
-            src = gen.choice(np.flatnonzero(~dead), size=int(dead.sum()))
-            counts[dead], sizes[dead] = counts[src], sizes[src]
-    return refill
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(1, 3),
        members=st.integers(1, 4), size=st.integers(1, 40),
@@ -218,7 +207,7 @@ def run_live_rows_and_reference(ens, itype, horizon, size, hook, state):
 
     def live_rows(g):
         rows, counts = _forward(ens, itype, horizon, g, size, cap,
-                                resample_hook(g) if hook else None)
+                                plain_refill(g, size) if hook else None)
         assert np.all(np.diff(rows) > 0) and counts.any(axis=1).all()
         full = np.zeros((size, order), dtype=np.int64)
         full[rows] = counts
@@ -226,7 +215,7 @@ def run_live_rows_and_reference(ens, itype, horizon, size, hook, state):
 
     def every_row(g):
         return reference_forward(ens, itype, horizon, g, size,
-                                 resample_hook(g) if hook else None).tolist()
+                                 plain_refill(g, size) if hook else None).tolist()
 
     return run(live_rows), run(every_row)
 
@@ -256,6 +245,70 @@ def test_live_row_driver_matches_the_every_row_reference_on_presets(
         assert max(top for _, top in batches) >= 1000
     if exercises == "a member without rows":
         assert any(0 in per_member for per_member, _ in batches)
+
+
+@pytest.mark.parametrize("size", [1, 2, 63, 4097])
+@pytest.mark.parametrize("hook", ["none", "paths", "resample"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(1, 4),
+       members=st.integers(1, 3), horizon=st.integers(1, 12), childless=st.booleans())
+def test_gathering_driver_matches_the_masking_reference(hook, size, seed, order, members,
+                                                        horizon, childless):
+    # byte-equal output, rows, counts and sizes after every hook call, and
+    # generator end state, with no hook, the paths record and the refill
+    gen = np.random.default_rng(seed)
+    ens = random_ensemble(gen, order, members)
+    if childless:
+        ens = EnvironmentEnsemble(ens.members + (dead_end_env(order),),
+                                  np.append(np.full(members, 0.6 / members), 0.4))
+    itype = int(gen.integers(1, order + 1))
+    state = gen.bit_generator.state
+    cap = (2 ** 63 - 1) // order
+
+    def spying(forward, seen):
+        """`forward` with each hook call followed by a copy of what it left."""
+        def spied(ens, itype, horizon, gen, size, cap=simulator.POPULATION_CAP, step=None):
+            def spy(t, rows, counts, sizes):
+                step(t, rows, counts, sizes)
+                seen.append((t, rows.tobytes(), counts.tobytes(), sizes.tobytes()))
+            return forward(ens, itype, horizon, gen, size, cap, spy if step else None)
+        return spied
+
+    def paths():
+        try:
+            return log_population_path(ens, itype, horizon, max(size, 2), cap=cap).values
+        except InsufficientSurvivorsError:    # no survivor: the chunk's array is empty
+            return np.empty((0, horizon + 1))
+
+    def run(gathering):
+        g, seen = np.random.default_rng(), []
+        g.bit_generator.state = state
+        try:
+            if hook == "none":
+                forward = _forward if gathering else conftest.plain_forward
+                out = [a.tobytes() for a in forward(ens, itype, horizon, g, size, cap)]
+            elif gathering:
+                with mock.patch.object(simulator, "run_chunked",
+                                       lambda task, replicas, seed: task(g, size)), \
+                        mock.patch.object(simulator, "_forward", spying(_forward, seen)):
+                    out = (paths() if hook == "paths" else
+                           simulator._survivor_sizes(ens, itype, horizon, size, 0, True))
+            else:
+                with mock.patch.object(conftest, "plain_forward",
+                                       spying(conftest.plain_forward, seen)):
+                    out = (conftest.plain_path_logs(ens, itype, horizon, g, size, cap,
+                                                    horizon ** -0.5)
+                           if hook == "paths" else
+                           conftest.plain_survivor_sizes(ens, itype, horizon, g, size))
+            out = ("ok", out if hook == "none" else out.tobytes())
+        except (InsufficientSurvivorsError, PopulationCapError) as exc:
+            out = ("error", type(exc).__name__, str(exc))
+        return out, seen, g.bit_generator.state
+
+    got, want = run(True), run(False)
+    assert got == want
+    if hook != "none" and got[0][0] == "ok":
+        assert got[1]       # the spy saw the hook run
 
 
 @pytest.mark.parametrize("case", ["zero rows", "order 1", "a member without rows"])
@@ -417,6 +470,49 @@ def test_seeded_particle_output_is_pinned():
     digest.update(json.dumps(states, sort_keys=True).encode())
     assert digest.hexdigest() == \
         "71e7e8ca92389bec7fc7373033365f556ebbf8f9e2a8650e3797027c5d1ed2df"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_seeded_row_moves_are_pinned(workers):
+    # sha256 of log-population paths on the two-member boom_bust started by
+    # a pair (column 0 is log 2; in both chunks rows die at every one of the
+    # 40 generations), a resampled conditional size law on critical (thousands
+    # of refills, each with several dead walkers), and the end state of every
+    # chunk's generator, sorted since two workers finish chunks in any order
+    digest = hashlib.sha256()
+    states, dead = [], []
+    chunked, forward = simulator.run_chunked, simulator._forward
+
+    def recording(task, replicas, seed):
+        def task_and_state(gen, size):
+            out = task(gen, size)
+            states.append(json.dumps(gen.bit_generator.state, sort_keys=True))
+            return out
+        return chunked(task_and_state, replicas, seed)
+
+    def counting(ens, itype, horizon, gen, size, cap=simulator.POPULATION_CAP, step=None):
+        def spy(t, rows, counts, sizes):
+            dead.append(int((sizes == 0).sum()))
+            step(t, rows, counts, sizes)
+        return forward(ens, itype, horizon, gen, size, cap, spy)
+
+    with mock.patch.object(simulator, "run_chunked", recording), \
+            mock.patch.object(simulator, "_forward", counting), \
+            mock.patch.dict(os.environ, {"SIBDEP_WORKERS": workers}):
+        paths = log_population_path(load_preset("boom_bust"), 2, 40, replicas=5120,
+                                    seed=7, cap=10 ** 15)
+        assert len(dead) == 80 and min(dead) > 0
+        assert np.all(paths.values[:, 0] == math.log(2) * 40 ** -0.5)
+        digest.update(paths.values.astype("<f8").tobytes())
+        law = conditional_size_distribution(load_preset("critical"), 1, 60, replicas=5120,
+                                            seed=8, method="resample")
+        assert sum(dead[80:]) > 5000
+        digest.update(law.support.astype("<i8").tobytes())
+        digest.update(law.probabilities.astype("<f8").tobytes())
+    assert len(states) == 4
+    digest.update(json.dumps(sorted(states)).encode())
+    assert digest.hexdigest() == \
+        "9caf72ce5c84c00d22dae810fef1fef85c9c4d6d8c8b3d108627695a5fee51b3"
 
 
 def test_coupled_bookkeeping_agrees_exactly(ab_equal):

@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
 """Record the benchmark's end-to-end metrics of one source tree in BENCH_<label>.json.
 
-Runs ``bench/run.py --seed 1 --trace 0`` of the tree five times per workload,
+Runs ``bench/run.py --seed S --trace 0`` of the tree five times per workload,
 for ``run_seconds`` of ``BENCHMARK.json`` each, one run at a time and the
 workloads in turn, so that a slow spell of the host is spread over all of
-them.  The entry holds the host (``nproc``, Python, numpy), the tree's
-``src_lines`` and commit, the files under the measured paths that differ from
-that commit with the sha256 of that diff, and per workload the median and
-quartiles of each end-to-end metric that ``BENCHMARK.json`` names, with every
-run's value.  A tree whose uncommitted changes are later committed as C can be
-checked against its entry: ``git diff --binary --no-color --no-ext-diff
-<commit> C -- src bench tests/oracles.py | sha256sum`` gives the same hash.
+them; S is ``--seed``, 1 unless given.  The entry holds the seed, the host
+(``nproc``, Python, numpy), the tree's ``src_lines`` and commit, the files
+under the measured paths that differ from that commit with the sha256 of that
+diff, and per workload the median and quartiles of each end-to-end metric
+that ``BENCHMARK.json`` names, with every run's value.  A tree whose
+uncommitted changes are later committed as C can be checked against its
+entry: ``git diff --binary --no-color --no-ext-diff <commit> C -- src bench
+tests/oracles.py | sha256sum`` gives the same hash.
 Untracked files under the measured paths would escape that hash, so they stop
 the recording.
 
     python3 tools/bench_record.py --label 615c5c3 --root /path/to/checkout
+    python3 tools/bench_record.py --label 615c5c3-seed9001 --seed 9001
 
 The script only runs the benchmark; it changes nothing under ``bench/``.
 """
@@ -31,7 +33,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 MEASURED = ("src", "bench", "tests/oracles.py")   # what a benchmark run reads
-RUNS, SEED = 5, 1
+RUNS = 5
 
 
 def git(root: Path, *args: str) -> str:
@@ -69,6 +71,8 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
     ap.add_argument("--root", type=Path, default=REPO,
                     help="the source tree to run (default: this repository)")
+    ap.add_argument("--seed", type=int, default=1,
+                    help="the seed of every run (default: 1)")
     ns = ap.parse_args(argv)
     if not re.fullmatch(r"[A-Za-z0-9._-]+", ns.label):
         ap.error(f"label {ns.label!r} may hold only letters, digits, '.', '_' and '-'")
@@ -85,7 +89,7 @@ def main(argv=None) -> int:
     runs: dict = {w: [] for w in workloads}
     for k in range(RUNS):
         for w in workloads:
-            runs[w].append(run_once(root, w, SEED, seconds))
+            runs[w].append(run_once(root, w, ns.seed, seconds))
             print(f"run {k + 1}/{RUNS} {w}: "
                   f"wall_s={runs[w][-1][1]['metrics']['wall_s']['value']:.4g}", flush=True)
 
@@ -96,7 +100,8 @@ def main(argv=None) -> int:
         "uncommitted": git(root, "diff", "--name-only", "HEAD", "--", *MEASURED).split(),
         "uncommitted_sha256": uncommitted_sha256(root),
         **{key: first[key] for key in ("nproc", "python", "numpy", "src_lines")},
-        "command": f"bench/run.py --workload W --seed {SEED} --seconds {seconds:g} --trace 0",
+        "seed": ns.seed,
+        "command": f"bench/run.py --workload W --seed {ns.seed} --seconds {seconds:g} --trace 0",
         "runs": RUNS,
         "workloads": {},
     }
