@@ -17,6 +17,10 @@ files byte for byte.  The manifest records each result file's SHA-256 digest;
 ``verify_run_dir`` rechecks a directory against its manifest and flags stale
 or edited files.
 
+A command imports the estimator module it runs (``simulator``, ``spectral``
+or ``moments``) only when it runs, so building the parser and ``validate``
+load none of them.
+
 Exit codes: 0 success, 1 domain error (reported as machine-readable JSON on
 standard output), 2 usage or parse error.
 """
@@ -32,25 +36,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, spectral
-from .errors import EnsembleFormatError, InvalidLawError, SibdepError, check_domains
+from . import __version__
 from .env_model import (
     EnvironmentEnsemble,
     ensemble_from_dict,
     read_ensemble_doc,
     validate_sibling_law,
 )
-from .moments import moment_set, perron
+from .errors import (POPULATION_CAP, EnsembleFormatError, InvalidLawError, SibdepError,
+                     check_domains)
 from .presets import PRESET_NAMES, preset_path
 from .records import plain
-from .simulator import (
-    POPULATION_CAP,
-    conditional_size_distribution,
-    estimate_survival,
-    log_population_path,
-    survival_scaling_scan,
-)
-from .spectral import ConditionParams, calibrate_critical_pair, check_conditions
 
 PRESET_PREFIX = "preset:"
 
@@ -123,6 +119,14 @@ def write_manifest(out: Path, command: str, chash: str, seed: int,
     })
 
 
+def _well_typed(manifest) -> bool:
+    if not (isinstance(manifest, dict) and {"config_hash", "results"} <= manifest.keys()):
+        return False
+    results, digests = manifest["results"], manifest.get("sha256", {})
+    return (isinstance(results, list) and all(isinstance(n, str) for n in results)
+            and isinstance(digests, dict) and all(isinstance(d, str) for d in digests.values()))
+
+
 def verify_run_dir(out_dir) -> dict:
     """Check every result file in a run directory against its manifest.
 
@@ -130,14 +134,15 @@ def verify_run_dir(out_dir) -> dict:
     carries a different embedded config hash than the manifest records, or
     no longer has the content digest the manifest records.  A manifest that
     is missing, or no JSON object with ``config_hash`` and ``results`` keys,
-    is the one mismatch, with no hash and no file checked.
+    a list of strings under ``results`` and an object of strings under
+    ``sha256``, is the one mismatch, with no hash and no file checked.
     """
     out = Path(out_dir)
     try:
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError):
         manifest = None
-    if not (isinstance(manifest, dict) and {"config_hash", "results"} <= manifest.keys()):
+    if not _well_typed(manifest):
         problem = "malformed" if (out / "manifest.json").is_file() else "missing"
         return {"out_dir": str(out), "config_hash": None, "checked": [],
                 "mismatches": [{"file": "manifest.json", "problem": problem}], "ok": False}
@@ -241,6 +246,7 @@ def cmd_validate(ns) -> int:
 
 
 def cmd_moments(ens: EnvironmentEnsemble, ns):
+    from .moments import moment_set, perron
     sets = [moment_set(env) for env in ens.members]
     mixture_mean = sum(w * ms.mean for w, ms in zip(ens.weights, sets))
     mixture_root = perron(mixture_mean).value
@@ -252,6 +258,7 @@ def cmd_moments(ens: EnvironmentEnsemble, ns):
 
 
 def cmd_lyapunov(ens: EnvironmentEnsemble, ns):
+    from . import spectral
     # one product sample for every section; the checks come before the draw
     check_domains(theta=ns.theta, step=ns.step if ns.derivative else None)
     logs = spectral._sampled_log_norms(ens, ns.horizon, ns.replicas, ns.seed, ns.macro)
@@ -267,6 +274,7 @@ def cmd_lyapunov(ens: EnvironmentEnsemble, ns):
 
 
 def cmd_conditions(ens: EnvironmentEnsemble, ns):
+    from .spectral import ConditionParams, check_conditions
     report = check_conditions(ens, ConditionParams(
         theta=ns.theta, eps=ns.eps, alpha=ns.alpha,
         horizon=ns.horizon, replicas=ns.replicas, seed=ns.seed))
@@ -276,6 +284,7 @@ def cmd_conditions(ens: EnvironmentEnsemble, ns):
 
 
 def cmd_calibrate(ens: EnvironmentEnsemble, ns):
+    from .spectral import calibrate_critical_pair
     if ens.size != 2:
         raise ValueError(
             "calibrate needs a two-member ensemble "
@@ -293,6 +302,7 @@ def cmd_calibrate(ens: EnvironmentEnsemble, ns):
 
 
 def cmd_survival(ens: EnvironmentEnsemble, ns):
+    from .simulator import estimate_survival
     est = estimate_survival(ens, ns.initial_type, ns.horizon,
                             replicas=ns.replicas, seed=ns.seed,
                             method=ns.method)
@@ -304,6 +314,7 @@ def cmd_survival(ens: EnvironmentEnsemble, ns):
 
 
 def cmd_scan(ens: EnvironmentEnsemble, ns):
+    from .simulator import survival_scaling_scan
     rows = survival_scaling_scan(ens, ns.initial_type, ns.horizons,
                                  replicas=ns.replicas, alpha=ns.alpha,
                                  seed=ns.seed)
@@ -316,6 +327,7 @@ def cmd_scan(ens: EnvironmentEnsemble, ns):
 
 
 def cmd_paths(ens: EnvironmentEnsemble, ns):
+    from .simulator import log_population_path
     paths = log_population_path(ens, ns.initial_type, ns.horizon,
                                 replicas=ns.replicas, alpha=ns.alpha,
                                 seed=ns.seed, cap=ns.cap)
@@ -326,6 +338,7 @@ def cmd_paths(ens: EnvironmentEnsemble, ns):
 
 
 def cmd_condsize(ens: EnvironmentEnsemble, ns):
+    from .simulator import conditional_size_distribution
     dist = conditional_size_distribution(ens, ns.initial_type, ns.horizon,
                                          replicas=ns.replicas, seed=ns.seed,
                                          method=ns.method)

@@ -4,7 +4,8 @@ Domain errors (invalid laws, degenerate inputs, failed calibrations) derive from
 SibdepError so the command line layer can map them to a single exit code.
 Format errors raised while parsing ensemble documents derive from
 EnsembleFormatError and are treated as usage errors.  The numeric parameter
-domains of every entry point live in DOMAINS, checked by check_domains.
+domains of every entry point live in DOMAINS, checked by check_domains, next to
+the default population cap that the ``cap`` domain bounds.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import numbers
 
 INT64_MAX = 2 ** 63 - 1
+POPULATION_CAP = 1_000_000_000   # the default per-generation cap of the particle engine
 
 
 def _finite_positive(name: str) -> tuple:

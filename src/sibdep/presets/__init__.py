@@ -10,7 +10,7 @@ exactly one child.
 """
 from __future__ import annotations
 
-from importlib.resources import files
+from pathlib import Path
 
 from ..env_model import EnvironmentEnsemble, load_ensemble
 
@@ -33,12 +33,12 @@ _SUMMARIES = {
 }
 
 
-def preset_path(name: str):
-    """Traversable pointing at the bundled JSON document for ``name``."""
+def preset_path(name: str) -> Path:
+    """Path of the bundled JSON document for ``name``."""
     if name not in PRESET_NAMES:
         known = ", ".join(PRESET_NAMES)
         raise KeyError(f"unknown preset {name!r}; available: {known}")
-    return files(__name__) / f"{name}.json"
+    return Path(__file__).with_name(f"{name}.json")
 
 
 def load_preset(name: str) -> EnvironmentEnsemble:

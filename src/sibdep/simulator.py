@@ -44,11 +44,11 @@ from operator import mul
 import numpy as np
 
 from .env_model import Environment, EnvironmentEnsemble
-from .errors import InsufficientSurvivorsError, PopulationCapError, check_domains
+from .errors import (POPULATION_CAP, InsufficientSurvivorsError, PopulationCapError,
+                     check_domains)
 from .records import Record
 from .rng import run_chunked
 
-POPULATION_CAP = 1_000_000_000
 MIN_SURVIVORS = 100
 
 
@@ -271,11 +271,19 @@ class SurvivalEstimate(Record):
 
 
 def _summarize(values: np.ndarray, horizon, initial_type, method) -> SurvivalEstimate:
+    """Mean and standard error of the rows.
+
+    Both are taken on the values scaled by a power of two that brings the
+    largest into [0.5, 1), and scaled back: exact wherever nothing
+    underflows, and tiny survivals keep their squares out of underflow.
+    """
     n = values.shape[0]
-    stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    exp = int(np.frexp(np.abs(values).max())[1])
+    scaled = np.ldexp(values, -exp)
+    stderr = float(scaled.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return SurvivalEstimate(horizon=horizon, initial_type=initial_type,
-                            value=float(values.mean()), stderr=stderr,
-                            replicas=n, method=method)
+                            value=math.ldexp(float(scaled.mean()), exp),
+                            stderr=math.ldexp(stderr, exp), replicas=n, method=method)
 
 
 def estimate_survival(ens: EnvironmentEnsemble, initial_type: int, horizon: int,

@@ -43,6 +43,7 @@ def test_untracked_source_file_is_an_error(recorder, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, seed", [((), 1), (("--seed", "9001"), 9001)])
 def test_seed_reaches_every_run_and_the_entry(recorder, monkeypatch, tmp_path, argv, seed):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
     metrics = [{"name": "wall_s", "unit": "s"}, {"name": "peak_rss_mb", "unit": "MB"}]
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({
@@ -65,5 +66,6 @@ def test_seed_reaches_every_run_and_the_entry(recorder, monkeypatch, tmp_path, a
     assert seeds == [seed] * 2 * recorder.RUNS
     entry = json.loads((tmp_path / "BENCH_seeded.json").read_text(encoding="utf-8"))
     assert entry["seed"] == seed
+    assert entry["dont_write_bytecode"] is True
     assert entry["command"] == f"bench/run.py --workload W --seed {seed} --seconds 2 --trace 0"
     assert entry["workloads"]["b"]["metrics"]["wall_s"]["values"] == [2.0, 4.0, 6.0, 8.0, 10.0]

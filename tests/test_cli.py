@@ -299,7 +299,15 @@ def test_verify_run_dir_reports_files_edited_past_parsing(capsys, tmp_path, name
     ("\"survival.json\"", "malformed"),
     ('{"results": ["survival.json"]}', "malformed"),
     ('{"config_hash": "00"}', "malformed"),
-], ids=["missing", "unparsable", "a-list", "a-string", "no-config-hash", "no-results"])
+    ('{"config_hash": "00", "results": 5}', "malformed"),
+    ('{"config_hash": "00", "results": [1]}', "malformed"),
+    ('{"config_hash": "00", "results": "survival.json"}', "malformed"),
+    ('{"config_hash": "00", "results": ["survival.json"], "sha256": [1]}', "malformed"),
+    ('{"config_hash": "00", "results": ["survival.json"], "sha256": {"survival.json": 1}}',
+     "malformed"),
+], ids=["missing", "unparsable", "a-list", "a-string", "no-config-hash", "no-results",
+        "results-a-number", "results-of-numbers", "results-a-string", "sha256-a-list",
+        "sha256-of-numbers"])
 def test_verify_run_dir_reports_a_bad_manifest(capsys, tmp_path, text, problem):
     run_cli(capsys, "survival", "--config", "preset:critical", "--horizon", "4",
             "--replicas", "64", "--out", str(tmp_path))

@@ -25,7 +25,10 @@ def test_names_paths_and_summaries():
     assert len(PRESET_NAMES) == 6
     assert set(preset_summaries()) == set(PRESET_NAMES)
     for name in PRESET_NAMES:
-        assert preset_path(name).is_file()
+        path = preset_path(name)
+        assert path.is_file()
+        with open(str(path), encoding="utf-8") as fh:
+            assert path.read_text(encoding="utf-8") == fh.read()
         assert preset_summaries()[name]
     with pytest.raises(KeyError, match="available"):
         preset_path("tropical")

@@ -593,6 +593,26 @@ def test_estimate_survival_matches_enumeration(ab_equal):
     assert abs(est.value - exact) <= 3.0 * est.stderr
 
 
+def test_stderr_of_a_tiny_survival_is_not_zero(monkeypatch):
+    # rows near 1e-262 square to underflow; the stderr must still be the rows'
+    # spread, here computed on rows rescaled so that the largest is 1
+    rows = []
+    summarize = simulator._summarize
+
+    def spied(values, *args):
+        rows.append(values)
+        return summarize(values, *args)
+
+    monkeypatch.setattr(simulator, "_summarize", spied)
+    est = estimate_survival(load_preset("subcritical_mix"), 1, 2000, replicas=4096, seed=1)
+    (values,) = rows
+    scale = 1.0 / values.max()
+    reference = (values * scale).std(ddof=1) / math.sqrt(values.size) / scale
+    assert est.value > 0.0
+    assert est.stderr > 0.0
+    assert est.stderr == pytest.approx(reference, rel=1e-12)
+
+
 def test_particle_and_quenched_methods_agree(ab_equal):
     q = estimate_survival(ab_equal, 1, 6, replicas=4096, seed=11)
     p = estimate_survival(ab_equal, 1, 6, replicas=4096, seed=12,

@@ -5,9 +5,10 @@ Runs ``bench/run.py --seed S --trace 0`` of the tree five times per workload,
 for ``run_seconds`` of ``BENCHMARK.json`` each, one run at a time and the
 workloads in turn, so that a slow spell of the host is spread over all of
 them; S is ``--seed``, 1 unless given.  The entry holds the seed, the host
-(``nproc``, Python, numpy), the tree's ``src_lines`` and commit, the files
-under the measured paths that differ from that commit with the sha256 of that
-diff, and per workload the median and quartiles of each end-to-end metric
+(``nproc``, Python, numpy, and whether ``PYTHONDONTWRITEBYTECODE`` is set: a
+run that may not cache bytecode compiles every module it imports), the
+tree's ``src_lines`` and commit, the files under the measured paths that
+differ from that commit with the sha256 of that diff, and per workload the median and quartiles of each end-to-end metric
 that ``BENCHMARK.json`` names, with every run's value.  A tree whose
 uncommitted changes are later committed as C can be checked against its
 entry: ``git diff --binary --no-color --no-ext-diff <commit> C -- src bench
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -100,6 +102,7 @@ def main(argv=None) -> int:
         "uncommitted": git(root, "diff", "--name-only", "HEAD", "--", *MEASURED).split(),
         "uncommitted_sha256": uncommitted_sha256(root),
         **{key: first[key] for key in ("nproc", "python", "numpy", "src_lines")},
+        "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         "seed": ns.seed,
         "command": f"bench/run.py --workload W --seed {ns.seed} --seconds {seconds:g} --trace 0",
         "runs": RUNS,
