@@ -195,6 +195,7 @@ def _build_phi_tables(members: Sequence["Environment"]) -> tuple[np.ndarray, np.
     Column k of `counts` (N, keys) is one of the members' deduplicated atom
     child-count rows, so log(s) @ counts is the log of every monomial.
     Entry (k, m*N + i-1) of `table` is key k's weight in member m's size-i law.
+    Both are C-contiguous: matmul by a transposed `counts` runs 2-4x slower.
     """
     child = [c for env in members for c in env._atom_child_counts]
     weights = [w for env in members for w in env._atom_weights]
@@ -202,7 +203,7 @@ def _build_phi_tables(members: Sequence["Environment"]) -> tuple[np.ndarray, np.
     law = np.repeat(np.arange(len(child)), [w.shape[0] for w in weights])
     table = np.zeros((keys.shape[0], len(child)))
     table[key.reshape(-1), law] = np.concatenate(weights)
-    return _frozen(keys.T.astype(float)), _frozen(table)
+    return _frozen(np.ascontiguousarray(keys.T, dtype=float)), _frozen(table)
 
 
 @dataclass(frozen=True)

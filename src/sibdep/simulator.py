@@ -260,6 +260,16 @@ def _quenched_survival_rows(ens: EnvironmentEnsemble, member_idx: np.ndarray,
     return np.minimum(0.0 - state[:, initial_type - 1], 1.0)
 
 
+def _quenched_columns(ens: EnvironmentEnsemble, initial_type: int, horizons: Sequence[int]):
+    """The quenched chunk task: index rows as long as the last of the ascending
+    horizons, and a (rows, horizons) block of survivals over their prefixes."""
+    def task(gen, size):
+        idx = ens.sample_index_array((size, horizons[-1]), gen)
+        return np.stack([_quenched_survival_rows(ens, idx[:, :h], initial_type)
+                         for h in horizons], axis=1)
+    return task
+
+
 @dataclass(frozen=True)
 class SurvivalEstimate(Record):
     horizon: int
@@ -301,18 +311,14 @@ def estimate_survival(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
         raise ValueError(f"unknown method {method!r}")
 
     if method == "quenched":
-        def task(gen, size):
-            idx = ens.sample_index_array((size, horizon), gen)
-            return _quenched_survival_rows(ens, idx, initial_type)
-        tag = "quenched-exact"
+        task = _quenched_columns(ens, initial_type, [horizon])
     else:
         def task(gen, size):
-            alive = np.zeros(size)
+            alive = np.zeros((size, 1))
             alive[_forward(ens, initial_type, horizon, gen, size)[0]] = 1.0
             return alive
-        tag = "particle-mc"
-
-    return _summarize(run_chunked(task, replicas, seed), horizon, initial_type, tag)
+    tag = "quenched-exact" if method == "quenched" else "particle-mc"
+    return _summarize(run_chunked(task, replicas, seed)[:, 0], horizon, initial_type, tag)
 
 
 @dataclass(frozen=True)
@@ -342,20 +348,11 @@ def survival_scaling_scan(ens: EnvironmentEnsemble, initial_type: int,
     if not math.isfinite(max(scales)):   # a subnormal alpha makes 1/alpha inf, and no error
         raise ValueError("the scaled column horizon**(1/alpha) overflows a float "
                          f"at alpha={alpha!r}")
-    longest = hs[-1]
-
-    def task(gen, size):
-        idx = ens.sample_index_array((size, longest), gen)
-        return np.stack([_quenched_survival_rows(ens, idx[:, :h], initial_type)
-                         for h in hs], axis=1)
-
-    values = run_chunked(task, replicas, seed)
-    rows = []
-    for j, h in enumerate(hs):
-        est = _summarize(values[:, j], h, initial_type, "quenched-exact")
-        rows.append(ScanRow(horizon=h, estimate=est.value, stderr=est.stderr,
-                            scaled=scales[j] * est.value))
-    return tuple(rows)
+    values = run_chunked(_quenched_columns(ens, initial_type, hs), replicas, seed)
+    estimates = (_summarize(values[:, j], h, initial_type, "quenched-exact")
+                 for j, h in enumerate(hs))
+    return tuple(ScanRow(horizon=e.horizon, estimate=e.value, stderr=e.stderr,
+                         scaled=s * e.value) for e, s in zip(estimates, scales))
 
 
 # -- conditional size distribution ------------------------------------------

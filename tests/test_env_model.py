@@ -303,6 +303,29 @@ def test_member_index_counts_as_searchsorted_on_the_choice_cdf(seed, size, zeros
     assert np.array_equal(ens.member_index(grid), cdf.searchsorted(grid, side="right"))
 
 
+def table_arrays(ens: EnvironmentEnsemble) -> list:
+    """Every array of the ensemble's quenched and particle tables."""
+    particle = ens._particle_table
+    fields = [getattr(particle, f.name) for f in dataclasses.fields(particle)]
+    return [a for v in (*ens._phi_tables, *fields)
+            for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_tables_are_row_major(name):
+    # the kernels multiply and gather these on every generation; numpy's
+    # matmul takes a transposed operand several times slower
+    arrays = table_arrays(load_ensemble(preset_path(name)))
+    assert arrays and all(a.flags.c_contiguous for a in arrays)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_random_tables_are_row_major(order, size):
+    arrays = table_arrays(random_ensemble(np.random.default_rng(10 * order + size), order, size))
+    assert arrays and all(a.flags.c_contiguous for a in arrays)
+
+
 @pytest.mark.parametrize("order, size", [(1, 1), (2, 3), (3, 2)])
 def test_particle_table_is_read_only_and_stacks_every_law(order, size):
     # a one-atom member beside random ones, so every order has padded laws

@@ -15,7 +15,7 @@ from sibdep import simulator
 from sibdep.env_model import (Environment, EnvironmentEnsemble, SiblingLaw,
                                random_environment)
 from sibdep.errors import InsufficientSurvivorsError, PopulationCapError
-from sibdep.presets import load_preset
+from sibdep.presets import PRESET_NAMES, load_preset
 from sibdep.rng import RngStream
 from sibdep.simulator import (
     ConditionalSizeDistribution,
@@ -611,6 +611,18 @@ def test_stderr_of_a_tiny_survival_is_not_zero(monkeypatch):
     assert est.value > 0.0
     assert est.stderr > 0.0
     assert est.stderr == pytest.approx(reference, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("horizon", [1, 7, 64])
+def test_quenched_estimate_is_the_scan_at_one_horizon(name, horizon):
+    # 5,000 replicas make two chunks, the second partial
+    ens = load_preset(name)
+    for itype in range(1, ens.order + 1):
+        for seed in (0, 3):
+            est = estimate_survival(ens, itype, horizon, replicas=5000, seed=seed)
+            (row,) = survival_scaling_scan(ens, itype, [horizon], replicas=5000, seed=seed)
+            assert same_bits([est.value, est.stderr], [row.estimate, row.stderr])
 
 
 def test_particle_and_quenched_methods_agree(ab_equal):
