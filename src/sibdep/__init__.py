@@ -25,8 +25,7 @@ _EXPORTS = {
     ),
     "env_model": (
         "SiblingLaw", "Environment", "EnvironmentEnsemble", "ValidationReport",
-        "validate_sibling_law", "single_environment_ensemble",
-        "random_environment", "ensemble_from_dict", "ensemble_to_dict",
+        "validate_sibling_law", "ensemble_from_dict", "ensemble_to_dict",
         "load_ensemble",
     ),
     "moments": (
@@ -42,13 +41,12 @@ _EXPORTS = {
         "check_conditions", "CalibrationResult", "calibrate_critical_pair",
     ),
     "simulator": (
-        "MacroState", "Trajectory", "simulate_micro", "simulate_macro_coupled",
-        "quenched_survival", "SurvivalEstimate", "estimate_survival", "ScanRow",
-        "survival_scaling_scan", "ConditionalSizeDistribution",
-        "conditional_size_distribution", "total_variation_distance",
+        "MacroState", "Trajectory", "simulate_macro_coupled", "quenched_survival",
+        "SurvivalEstimate", "estimate_survival", "ScanRow", "survival_scaling_scan",
+        "ConditionalSizeDistribution", "conditional_size_distribution",
         "PathEnsemble", "log_population_path",
     ),
-    "presets": ("PRESET_NAMES", "load_preset", "preset_path", "preset_summaries"),
+    "presets": ("PRESET_NAMES", "load_preset", "preset_path"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset(_EXPORTS) | {"cli", "records", "rng"}

@@ -22,7 +22,8 @@ or ``moments``) only when it runs, so building the parser and ``validate``
 load none of them.
 
 Exit codes: 0 success, 1 domain error (reported as machine-readable JSON on
-standard output), 2 usage or parse error.
+standard output), 2 usage or parse error, or a config or output path that
+cannot be read or written.
 """
 from __future__ import annotations
 
@@ -119,11 +120,17 @@ def write_manifest(out: Path, command: str, chash: str, seed: int,
     })
 
 
+def _plain_name(name) -> bool:
+    """A file name with no directory part, as write_manifest lists results:
+    any other would read a file outside the run directory."""
+    return isinstance(name, str) and name not in ("", ".", "..") and Path(name).name == name
+
+
 def _well_typed(manifest) -> bool:
     if not (isinstance(manifest, dict) and {"config_hash", "results"} <= manifest.keys()):
         return False
     results, digests = manifest["results"], manifest.get("sha256", {})
-    return (isinstance(results, list) and all(isinstance(n, str) for n in results)
+    return (isinstance(results, list) and all(map(_plain_name, results))
             and isinstance(digests, dict) and all(isinstance(d, str) for d in digests.values()))
 
 
@@ -134,8 +141,8 @@ def verify_run_dir(out_dir) -> dict:
     carries a different embedded config hash than the manifest records, or
     no longer has the content digest the manifest records.  A manifest that
     is missing, or no JSON object with ``config_hash`` and ``results`` keys,
-    a list of strings under ``results`` and an object of strings under
-    ``sha256``, is the one mismatch, with no hash and no file checked.
+    a list of plain file names under ``results`` and an object of strings
+    under ``sha256``, is the one mismatch, with no hash and no file checked.
     """
     out = Path(out_dir)
     try:
@@ -466,10 +473,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return ns.func(ns)
-    except EnsembleFormatError as exc:
-        _emit_error(exc)
-        return 2
-    except FileNotFoundError as exc:
+    except (EnsembleFormatError, OSError) as exc:
         _emit_error(exc)
         return 2
     except (SibdepError, ValueError) as exc:

@@ -15,7 +15,6 @@ survival form, and its plain power form is a reference in tests/oracles.py.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import numbers
@@ -324,7 +323,7 @@ class Environment:
         kernel in extinction form.  Assumes rows already lie in the unit box.
         """
         s = np.asarray(s_rows, dtype=float)
-        alone = single_environment_ensemble(self)
+        alone = EnvironmentEnsemble((self,), np.array([1.0]), label=self.label)
         return 1.0 - alone.survival_step(1.0 - s, np.zeros(s.shape[0], dtype=np.intp))
 
 
@@ -489,10 +488,6 @@ def _check_member_indices(idx: np.ndarray, size: int) -> None:
         raise IndexError(f"member indices must lie in [0, {size})")
 
 
-def single_environment_ensemble(env: Environment) -> EnvironmentEnsemble:
-    return EnvironmentEnsemble((env,), np.array([1.0]), label=env.label)
-
-
 # -- interchange format ----------------------------------------------------
 #
 # {
@@ -612,21 +607,3 @@ def ensemble_to_dict(ens: EnvironmentEnsemble) -> dict:
         for env, weight in zip(ens.members, ens.weights)
     ]
     return out
-
-
-def random_environment(rng: np.random.Generator, order: int,
-                       label: str = "") -> Environment:
-    """Generate a random fully supported environment, mainly for testing.
-
-    Every canonical multiset of each group size receives a Dirichlet weight, so
-    all marginals are strictly positive and the mean matrix is positive.
-    """
-    laws = []
-    for i in range(1, order + 1):
-        tuples = list(itertools.combinations_with_replacement(range(order + 1), i))
-        w = rng.dirichlet(np.ones(len(tuples)))
-        # guard against zeros from extreme Dirichlet draws
-        w = w + 1e-9
-        w = w / w.sum()
-        laws.append(SiblingLaw(i, order, tuple(zip(tuples, map(float, w)))))
-    return Environment(order, tuple(laws), label=label)

@@ -22,6 +22,12 @@ def _finite_positive(name: str) -> tuple:
             (lambda v, n: v > 0.0, f"{name} must be positive"))
 
 
+def _count(name: str, low: int, message: str) -> tuple:
+    """An integer, numpy's included, of at least `low`."""
+    return ((lambda v, n: isinstance(v, numbers.Integral), f"{name} must be an integer"),
+            (lambda v, n: v >= low, message))
+
+
 # parameter name -> ordered (test, message) rows; a test takes the value and
 # the ensemble order, and a message is a string or a function of the same two.
 # A parameter with two domains has a second name for the other one.
@@ -34,19 +40,21 @@ DOMAINS = {
              (lambda v, n: 1.0 - v < 1.0 < 1.0 + v,
               lambda v, n: f"step {v!r} is too small: 1 - step or 1 + step rounds to 1")),
     "tol": ((lambda v, n: 0.0 < v < math.inf, "tol must be positive and finite"),),
-    "max_iter": ((lambda v, n: v >= 1, "max_iter must be at least 1"),),
-    "horizon": ((lambda v, n: v >= 1, "horizon must be at least 1"),),
-    "coupled_horizon": ((lambda v, n: v >= 0, "horizon must be nonnegative"),),
-    "horizons": ((lambda v, n: bool(v) and min(v) >= 1, "horizons must be positive"),),
+    "max_iter": _count("max_iter", 1, "max_iter must be at least 1"),
+    "horizon": _count("horizon", 1, "horizon must be at least 1"),
+    "coupled_horizon": _count("horizon", 0, "horizon must be nonnegative"),
+    "horizons": ((lambda v, n: all(isinstance(h, numbers.Integral) for h in v),
+                  "horizons must be integers"),
+                 (lambda v, n: bool(v) and min(v) >= 1, "horizons must be positive")),
     "seed": ((lambda v, n: isinstance(v, numbers.Integral) and v >= 0,
               lambda v, n: f"seed {v!r} must be a nonnegative integer"),),
-    "replicas": ((lambda v, n: v >= 1, "replicas must be positive"),),
-    "survival_replicas": ((lambda v, n: v >= 2, "replicas >= 2 required"),),
+    "replicas": _count("replicas", 1, "replicas must be positive"),
+    "survival_replicas": _count("replicas", 2, "replicas >= 2 required"),
     "initial_type": ((lambda v, n: 1 <= v <= n,
                       lambda v, n: f"initial type {v} outside 1..{n}"),),
     # a member has at most `order` children, so the generation after one
     # under the cap has at most order * cap individuals, which must fit int64
-    "cap": ((lambda v, n: v >= 1, "cap must be at least 1"),
+    "cap": (*_count("cap", 1, "cap must be at least 1"),
             (lambda v, n: n * v <= INT64_MAX,
              lambda v, n: f"cap {v} can overflow 64-bit counts at order {n}; "
                           f"the largest cap allowed is {INT64_MAX // n}")),

@@ -48,19 +48,13 @@ class CurvatureStats:
 
 
 def curvature_stats(env: Environment) -> CurvatureStats:
-    return _curvature_stats(env, mean_matrix(env), hessians(env))
-
-
-def _curvature_stats(env: Environment, mean: np.ndarray,
-                     hess: np.ndarray) -> CurvatureStats:
-    """Curvature sums from the environment's already built mean and Hessians."""
-    norm = float(np.abs(mean).sum())
+    norm = float(np.abs(mean_matrix(env)).sum())
     if norm == 0.0:
         raise DegenerateEnvironmentError(
             f"environment {env.label or '<unnamed>'} has zero mean matrix; "
             "curvature ratio is undefined"
         )
-    total = float(np.abs(hess).sum())
+    total = float(np.abs(hessians(env)).sum())
     return CurvatureStats(hessian_sum=total, mean_norm=norm, ratio=total / norm ** 2)
 
 
@@ -289,7 +283,7 @@ def moment_set(env: Environment) -> MomentSet:
     """Assemble the full moment summary for one environment."""
     mean = mean_matrix(env)
     hess = hessians(env)
-    stats = _curvature_stats(env, mean, hess)
+    stats = curvature_stats(env)
     macro = macro_moments(env)
     pr = perron(mean)
     eta = eta_variance_matrix(env)

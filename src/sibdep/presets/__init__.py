@@ -23,15 +23,6 @@ PRESET_NAMES = (
     "subcritical_mix",
 )
 
-_SUMMARIES = {
-    "critical": "balanced flood/ebb mixture, shared eigenvector, zero growth",
-    "subcritical": "single contracting environment",
-    "supercritical": "single expanding environment",
-    "deterministic_line": "one type, one child each, frozen line",
-    "boom_bust": "strongly expanding vs strongly contracting pair (uncalibrated)",
-    "subcritical_mix": "rich/lean mixture with net decay",
-}
-
 
 def preset_path(name: str) -> Path:
     """Path of the bundled JSON document for ``name``."""
@@ -44,8 +35,3 @@ def preset_path(name: str) -> Path:
 def load_preset(name: str) -> EnvironmentEnsemble:
     """Load one of the bundled ensembles by name."""
     return load_ensemble(str(preset_path(name)))
-
-
-def preset_summaries() -> dict[str, str]:
-    """One-line description per preset name, in listing order."""
-    return {name: _SUMMARIES[name] for name in PRESET_NAMES}

@@ -85,8 +85,7 @@ class MacroState:
 class Trajectory:
     """One trajectory as a (horizon + 1, N) array; row t is generation t.
 
-    Indexes and iterates as a sequence of macro states, built on demand;
-    a slice gives a list of them.
+    Iterates as a sequence of macro states, built on demand.
     """
 
     counts: np.ndarray
@@ -96,17 +95,8 @@ class Trajectory:
         """Individual count per generation."""
         return self.counts @ np.arange(1, self.counts.shape[1] + 1)
 
-    def __len__(self) -> int:
-        return self.counts.shape[0]
-
     def __iter__(self):
         return (MacroState(row, t) for t, row in enumerate(self.counts))
-
-    def __getitem__(self, item):
-        gens = range(len(self))[item]
-        if isinstance(gens, range):
-            return [MacroState(self.counts[t], t) for t in gens]
-        return MacroState(self.counts[gens], gens)
 
 
 def _advance_batch(counts, member_idx, table, gen, generation, cap=POPULATION_CAP):
@@ -164,37 +154,23 @@ def _forward(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
     return rows, counts
 
 
-def simulate_micro(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
-                   rng: np.random.Generator, cap: int = POPULATION_CAP) -> Trajectory:
-    """One trajectory, group resolved: a single size-i group starts at time 0.
-
-    Every generation draws one environment for all groups, then each group
-    draws its members' joint child counts.  Children of one member stay
-    together as a new group of their own size; childless members leave
-    nothing.  This is the micro route of `simulate_macro_coupled`.  Raises a
-    cap error carrying the partial trajectory.
-    """
-    try:
-        return simulate_macro_coupled(ens, initial_type, horizon, rng, cap)[0]
-    except PopulationCapError as exc:
-        exc.trajectory = exc.trajectory[0]
-        raise
-
-
 def simulate_macro_coupled(ens: EnvironmentEnsemble, initial_type: int, horizon: int,
                            rng: np.random.Generator, cap: int = POPULATION_CAP
                            ) -> tuple[Trajectory, Trajectory]:
-    """One trajectory bookkept twice from identical draws.
+    """One trajectory bookkept twice from identical draws: (micro, macro).
 
-    The micro route turns each drawn outcome into child groups by counting
-    the sibship sizes in the outcome tuple directly; the macro route applies
-    the precomputed child-group count tables.  Both see the same multinomial
-    draws, so the returned trajectories must agree state by state, and the
-    individual count of either equals the weighted group total of the other.
-    No draw is made past extinction; the extinct tail stays zero.  A member
-    is one uniform bisected on the ensemble's member thresholds, the ones
-    `member_index` counts, a live type of a law with several atoms makes one
-    multinomial draw, and counts and sizes are Python ints.
+    A single size-i group starts at time 0; the children of one member found
+    a group of their own size.  The micro route turns each drawn outcome
+    into child groups by counting the sibship sizes in the outcome tuple
+    directly; the macro route applies the precomputed child-group count
+    tables.  Both see the same multinomial draws, so the returned
+    trajectories must agree state by state, and the individual count of
+    either equals the weighted group total of the other.  No draw is made
+    past extinction; the extinct tail stays zero.  A member is one uniform
+    bisected on the ensemble's member thresholds, the ones `member_index`
+    counts, a live type of a law with several atoms makes one multinomial
+    draw, and counts and sizes are Python ints.  A cap error carries the
+    partial (micro, macro) pair.
     """
     order = ens.order
     check_domains(order, coupled_horizon=horizon, cap=cap, initial_type=initial_type)
@@ -338,9 +314,10 @@ def survival_scaling_scan(ens: EnvironmentEnsemble, initial_type: int,
     sequences, so the per-sequence survival values are nested and the
     estimates decrease monotonically in the horizon by construction.
     """
-    hs = sorted(set(int(h) for h in horizons))
+    hs = sorted(set(horizons))
     check_domains(ens.order, horizons=hs, survival_replicas=replicas, alpha=alpha,
                   initial_type=initial_type)
+    hs = [int(h) for h in hs]   # numpy integers too become the records' ints
     try:
         scales = [h ** (1.0 / alpha) for h in hs]
     except OverflowError:
@@ -372,22 +349,8 @@ class ConditionalSizeDistribution(Record):
     s_grid: np.ndarray
     pgf_values: np.ndarray     # empirical generating function on s_grid
 
-    def probability_of(self, size: int) -> float:
-        pos = np.searchsorted(self.support, size)
-        if pos < self.support.shape[0] and self.support[pos] == size:
-            return float(self.probabilities[pos])
-        return 0.0
-
     def mean(self) -> float:
         return float(self.support @ self.probabilities)
-
-
-def total_variation_distance(a: ConditionalSizeDistribution,
-                             b: ConditionalSizeDistribution) -> float:
-    support = np.union1d(a.support, b.support)
-    pa = np.array([a.probability_of(int(z)) for z in support])
-    pb = np.array([b.probability_of(int(z)) for z in support])
-    return 0.5 * float(np.abs(pa - pb).sum())
 
 
 def _survivor_sizes(ens, initial_type, horizon, replicas, seed, resample):

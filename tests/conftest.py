@@ -4,13 +4,14 @@ The two-type fixtures here are built inline rather than loaded from the
 bundled presets, so preset files and in-code definitions can be checked
 against each other.
 """
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from sibdep import simulator
-from sibdep.env_model import Environment, EnvironmentEnsemble, SiblingLaw, random_environment
+from sibdep.env_model import Environment, EnvironmentEnsemble, SiblingLaw
 from sibdep.errors import InsufficientSurvivorsError
 
 
@@ -64,6 +65,29 @@ def one_child_env(order: int = 1) -> Environment:
     """Every member of every group has exactly one child: one atom per law."""
     return Environment(order, tuple(SiblingLaw(k, order, (((1,) * k, 1.0),))
                                     for k in range(1, order + 1)), label="one-child")
+
+
+def only(env: Environment) -> EnvironmentEnsemble:
+    """The one-member ensemble of `env`."""
+    return EnvironmentEnsemble((env,), np.array([1.0]), label=env.label)
+
+
+def random_environment(rng: np.random.Generator, order: int,
+                       label: str = "") -> Environment:
+    """A random fully supported environment.
+
+    Every canonical multiset of each group size receives a Dirichlet weight, so
+    all marginals are strictly positive and the mean matrix is positive.
+    """
+    laws = []
+    for i in range(1, order + 1):
+        tuples = list(itertools.combinations_with_replacement(range(order + 1), i))
+        w = rng.dirichlet(np.ones(len(tuples)))
+        # guard against zeros from extreme Dirichlet draws
+        w = w + 1e-9
+        w = w / w.sum()
+        laws.append(SiblingLaw(i, order, tuple(zip(tuples, map(float, w)))))
+    return Environment(order, tuple(laws), label=label)
 
 
 def random_ensemble(gen, order: int, size: int) -> EnvironmentEnsemble:
@@ -148,6 +172,22 @@ def plain_path_logs(ens, initial_type, horizon, gen, size, cap, scale):
     for t, (rows, values) in enumerate(history, start=1):
         logs[:, t] = values[rows.searchsorted(survivors)]
     return logs * scale
+
+
+def probability_of(dist, size: int) -> float:
+    """The mass a `ConditionalSizeDistribution` puts on one individual count."""
+    pos = np.searchsorted(dist.support, size)
+    if pos < dist.support.shape[0] and dist.support[pos] == size:
+        return float(dist.probabilities[pos])
+    return 0.0
+
+
+def total_variation_distance(a, b) -> float:
+    """Total variation distance of two `ConditionalSizeDistribution`s."""
+    support = np.union1d(a.support, b.support)
+    pa = np.array([probability_of(a, int(z)) for z in support])
+    pb = np.array([probability_of(b, int(z)) for z in support])
+    return 0.5 * float(np.abs(pa - pb).sum())
 
 
 def same_bits(a, b) -> bool:

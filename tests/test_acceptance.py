@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from sibdep import moments as mo
-from sibdep.env_model import EnvironmentEnsemble, random_environment
+from sibdep.env_model import EnvironmentEnsemble
 from sibdep.presets import load_preset
 from sibdep.rng import RngStream
 from sibdep.simulator import (
@@ -24,7 +24,6 @@ from sibdep.simulator import (
     quenched_survival,
     simulate_macro_coupled,
     survival_scaling_scan,
-    total_variation_distance,
 )
 from sibdep.spectral import (
     ConditionParams,
@@ -33,7 +32,7 @@ from sibdep.spectral import (
     estimate_lambda_theta,
 )
 
-from conftest import make_lean, make_rich
+from conftest import make_lean, make_rich, random_environment, total_variation_distance
 from oracles import (
     enumerate_survival,
     gaussian_meander,

@@ -305,9 +305,12 @@ def test_verify_run_dir_reports_files_edited_past_parsing(capsys, tmp_path, name
     ('{"config_hash": "00", "results": ["survival.json"], "sha256": [1]}', "malformed"),
     ('{"config_hash": "00", "results": ["survival.json"], "sha256": {"survival.json": 1}}',
      "malformed"),
+    *((json.dumps({"config_hash": "00", "results": ["survival.json", name]}), "malformed")
+      for name in ("../survival.json", "/etc/hostname", "sub/survival.json", "", ".", "..")),
 ], ids=["missing", "unparsable", "a-list", "a-string", "no-config-hash", "no-results",
         "results-a-number", "results-of-numbers", "results-a-string", "sha256-a-list",
-        "sha256-of-numbers"])
+        "sha256-of-numbers", "result-up-a-level", "result-absolute", "result-in-a-subdir",
+        "result-empty", "result-dot", "result-dot-dot"])
 def test_verify_run_dir_reports_a_bad_manifest(capsys, tmp_path, text, problem):
     run_cli(capsys, "survival", "--config", "preset:critical", "--horizon", "4",
             "--replicas", "64", "--out", str(tmp_path))
@@ -319,6 +322,40 @@ def test_verify_run_dir_reports_a_bad_manifest(capsys, tmp_path, text, problem):
     assert verify_run_dir(tmp_path) == {
         "out_dir": str(tmp_path), "config_hash": None, "checked": [],
         "mismatches": [{"file": "manifest.json", "problem": problem}], "ok": False}
+
+
+def test_verify_run_dir_reads_nothing_outside_the_run_directory(capsys, tmp_path,
+                                                                monkeypatch):
+    # a manifest alone, naming another run's result with that run's hash and
+    # digest, would verify if the name were read as a path
+    run_cli(capsys, "moments", "--config", "preset:critical", "--out", str(tmp_path / "A"))
+    theirs = read_json(tmp_path / "A" / "manifest.json")
+    (tmp_path / "B").mkdir()
+    (tmp_path / "B" / "manifest.json").write_text(json.dumps({
+        "config_hash": theirs["config_hash"], "results": ["../A/moments.json"],
+        "sha256": {"../A/moments.json": theirs["sha256"]["moments.json"]}}), encoding="utf-8")
+
+    def no_reads(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr("sibdep.cli.file_digest", no_reads)
+    report = verify_run_dir(tmp_path / "B")
+    assert report["ok"] is False and report["checked"] == []
+    assert report["mismatches"] == [{"file": "manifest.json", "problem": "malformed"}]
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (("validate", "--config", "{dir}"), "IsADirectoryError"),
+    (("survival", "--config", "{dir}", "--horizon", "4", "--replicas", "16"),
+     "IsADirectoryError"),
+    (("moments", "--config", "preset:critical", "--out", "{file}"), "FileExistsError"),
+], ids=["validate-a-directory", "survival-a-directory", "out-an-existing-file"])
+def test_unreadable_or_unwritable_paths_exit_2(capsys, tmp_path, argv, kind):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    argv = [a.format(dir=tmp_path, file=tmp_path / "file") for a in argv]
+    rc, out = run_cli(capsys, *argv)
+    assert rc == 2
+    assert json.loads(out)["error"]["type"] == kind
 
 
 def test_survival_rejects_replica_floor(capsys):

@@ -19,18 +19,16 @@ from sibdep.env_model import (
     ensemble_from_dict,
     ensemble_to_dict,
     load_ensemble,
-    random_environment,
     read_ensemble_doc,
-    single_environment_ensemble,
     validate_sibling_law,
 )
 from sibdep.errors import EnsembleFormatError, InvalidLawError
 from sibdep.presets import PRESET_NAMES, preset_path
-from sibdep.simulator import simulate_micro
+from sibdep.simulator import simulate_macro_coupled
 
 import oracles
-from conftest import (make_rich, make_lean, one_child_env, plain_survival_step,
-                      random_ensemble, same_bits)
+from conftest import (make_rich, make_lean, one_child_env, only, plain_survival_step,
+                      random_ensemble, random_environment, same_bits)
 
 
 # -- construction and structural checks ------------------------------------
@@ -147,7 +145,7 @@ def test_phi_fixed_point_and_monotonicity():
         # survival 0 is a fixed point of the kernel, exactly
         zeros = np.zeros((1, env.order))
         assert np.array_equal(
-            single_environment_ensemble(env).survival_step(zeros, np.zeros(1, dtype=int)),
+            only(env).survival_step(zeros, np.zeros(1, dtype=int)),
             zeros)
         lo = gen.uniform(0.0, 0.5, env.order)
         hi = lo + gen.uniform(0.0, 0.5, env.order)
@@ -205,7 +203,7 @@ def test_phi_step_and_phi_map_match_pointwise_phi(case):
     maps = [env.phi_map(q) for env in ens.members]
     assert same_bits(step, plain_survival_step(ens, q, idx))
     for m, env in enumerate(ens.members):
-        alone = single_environment_ensemble(env)
+        alone = only(env)
         assert same_bits(maps[m], 1.0 - plain_survival_step(alone, 1.0 - q, np.zeros_like(idx)))
     for r, row in enumerate(q):
         env = ens.members[idx[r]]
@@ -233,9 +231,10 @@ def test_sample_empirical_marginal_matches_exact():
     # one particle step from a size-2 group: each member has j children, and
     # so founds one size-j group, with the marginal probability p_2j
     env = make_rich()
-    ens = single_environment_ensemble(env)
+    ens = only(env)
     gen = np.random.default_rng(99)
-    groups = np.array([simulate_micro(ens, 2, 1, gen).counts[1] for _ in range(4000)])
+    groups = np.array([simulate_macro_coupled(ens, 2, 1, gen)[0].counts[1]
+                       for _ in range(4000)])
     emp = groups.sum(axis=0) / (2 * 4000)
     emp = np.concatenate([[1.0 - emp.sum()], emp])
     for j in (0, 1, 2):
@@ -380,7 +379,6 @@ def test_ensemble_weight_validation():
         EnvironmentEnsemble((make_rich(),
                              Environment(1, (SiblingLaw(1, 1, (((1,), 1.0),)),)),),
                             np.array([0.5, 0.5]))
-    assert single_environment_ensemble(make_rich()).size == 1
 
 
 def test_random_environment_always_valid():

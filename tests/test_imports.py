@@ -1,9 +1,12 @@
 """What each entry point loads: the package and the command line import an
 estimator module only when a command runs it."""
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -68,3 +71,34 @@ def test_every_exported_name_resolves_and_is_listed():
     assert "perron" not in vars(sibdep)
     with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
         sibdep.nonesuch
+
+
+def _uses_in_src() -> dict[str, int]:
+    """How often each identifier is read in `src/`, outside `sibdep/__init__.py`
+    and outside the top-level `def` or `class` that defines it."""
+    uses: Counter = Counter()
+    for path in (SRC / "sibdep").rglob("*.py"):
+        if path == SRC / "sibdep" / "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(node, "name", None)
+            for sub in ast.walk(node):
+                word = sub.id if isinstance(sub, ast.Name) else \
+                    sub.attr if isinstance(sub, ast.Attribute) else None
+                if word is not None and word != own:
+                    uses[word] += 1
+    return uses
+
+
+def test_every_exported_name_has_a_user():
+    # a name stays public only if the library itself, the benchmark, the
+    # tools or a README example uses it; the tests alone keep nothing alive
+    root = SRC.parent
+    texts = [(root / "README.md").read_text(encoding="utf-8")]
+    texts += [p.read_text(encoding="utf-8")
+              for folder in ("bench", "tools") for p in sorted((root / folder).rglob("*.py"))]
+    uses = _uses_in_src()
+    unused = [name for name in sibdep.__all__
+              if not uses[name]
+              and not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts)]
+    assert unused == []

@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-from sibdep.env_model import random_environment
 from sibdep.errors import DegenerateEnvironmentError
 from sibdep.moments import (
     curvature_stats,
@@ -21,7 +20,7 @@ from sibdep.moments import (
 )
 
 import oracles
-from conftest import make_line, make_rich
+from conftest import make_line, make_rich, random_environment
 
 
 def test_rich_mean_matrix_hand_values():

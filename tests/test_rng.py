@@ -59,3 +59,12 @@ def test_streams_reject_a_seed_that_is_not_a_nonnegative_integer(seed):
     with pytest.raises(ValueError, match=r"must be a nonnegative integer$"):
         run_chunked(lambda gen, size: np.zeros(size), 8, seed)
     assert RngStream(np.int64(3)).generator().random() == RngStream(3).generator().random()
+
+
+@pytest.mark.parametrize("replicas", [8.5, 4096.0])
+def test_replica_counts_must_be_integers(replicas):
+    def no_draws(gen, size):
+        raise AssertionError("the replica check must come before any draw")
+
+    with pytest.raises(ValueError, match="^replicas must be an integer$"):
+        run_chunked(no_draws, replicas, 0)

@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from sibdep import moments as mo
 from sibdep import simulator
-from sibdep.env_model import (Environment, EnvironmentEnsemble, SiblingLaw,
-                               random_environment)
+from sibdep.env_model import Environment, EnvironmentEnsemble, SiblingLaw
 from sibdep.errors import InsufficientSurvivorsError, PopulationCapError
 from sibdep.presets import PRESET_NAMES, load_preset
 from sibdep.rng import RngStream
@@ -27,14 +26,13 @@ from sibdep.simulator import (
     log_population_path,
     quenched_survival,
     simulate_macro_coupled,
-    simulate_micro,
     survival_scaling_scan,
-    total_variation_distance,
 )
 
 import conftest
-from conftest import (dead_end_env, make_lean, make_line, make_rich, one_child_env,
-                      plain_refill, plain_survival_step, random_ensemble, same_bits)
+from conftest import (dead_end_env, make_lean, make_line, make_rich, one_child_env, only,
+                      plain_refill, plain_survival_step, probability_of, random_ensemble,
+                      random_environment, same_bits, total_variation_distance)
 from oracles import annealed_survival, conditional_size_law, enumerate_survival
 
 
@@ -44,10 +42,6 @@ def doubling_env() -> Environment:
         SiblingLaw(1, 2, (((2,), 1.0),)),
         SiblingLaw(2, 2, (((2, 2), 1.0),)),
     ), label="double")
-
-
-def only(env: Environment) -> EnvironmentEnsemble:
-    return EnvironmentEnsemble((env,), np.array([1.0]), label=env.label)
 
 
 def test_macro_state_basics():
@@ -67,35 +61,33 @@ def test_macro_state_basics():
 
 
 def test_micro_line_is_frozen(line_only):
-    states = simulate_micro(line_only, 1, 10, RngStream(0, 0).generator())
-    assert len(states) == 11
+    states = simulate_macro_coupled(line_only, 1, 10, RngStream(0, 0).generator())[0]
+    assert states.counts.shape[0] == 11
     assert all(s.zeta == 1 for s in states)
     assert [s.generation for s in states] == list(range(11))
 
 
 def test_micro_absorbs_after_extinction():
-    states = simulate_micro(only(dead_end_env()), 1, 5, RngStream(0, 0).generator())
-    assert len(states) == 6
-    assert states[0].zeta == 1
-    assert all(s.extinct for s in states[1:])
+    states = simulate_macro_coupled(only(dead_end_env()), 1, 5,
+                                    RngStream(0, 0).generator())[0]
+    assert states.zeta.tolist() == [1, 0, 0, 0, 0, 0]
+    assert all(s.extinct for s in list(states)[1:])
 
 
-@pytest.mark.parametrize("simulate", [simulate_micro, simulate_macro_coupled])
-def test_single_trajectory_horizon_must_be_nonnegative(ab_equal, simulate):
+def test_single_trajectory_horizon_must_be_nonnegative(ab_equal):
     with pytest.raises(ValueError, match="horizon"):
-        simulate(ab_equal, 1, -3, RngStream(0, 0).generator())
+        simulate_macro_coupled(ab_equal, 1, -3, RngStream(0, 0).generator())
     gen = RngStream(0, 0).generator()
     state = gen.bit_generator.state
-    out = simulate(ab_equal, 2, 0, gen)
-    for traj in (out,) if simulate is simulate_micro else out:
+    for traj in simulate_macro_coupled(ab_equal, 2, 0, gen):
         assert traj.counts.tolist() == [[0, 1]]
     assert gen.bit_generator.state == state
 
 
 def test_micro_reproducible(ab_equal):
-    a = simulate_micro(ab_equal, 2, 15, RngStream(7, 0).generator())
-    b = simulate_micro(ab_equal, 2, 15, RngStream(7, 0).generator())
-    assert len(a) == len(b)
+    a = simulate_macro_coupled(ab_equal, 2, 15, RngStream(7, 0).generator())[0]
+    b = simulate_macro_coupled(ab_equal, 2, 15, RngStream(7, 0).generator())[0]
+    assert a.counts.shape[0] == b.counts.shape[0]
     for sa, sb in zip(a, b):
         np.testing.assert_array_equal(sa.counts, sb.counts)
 
@@ -105,7 +97,7 @@ def test_micro_survival_frequency_matches_exact_value(rich, rich_only):
     assert exact == pytest.approx(0.69, abs=1e-12)
     replicas = 20_000
     gen = RngStream(21, 0).generator()
-    alive = sum(not simulate_micro(rich_only, 1, 2, gen)[-1].extinct
+    alive = sum(bool(simulate_macro_coupled(rich_only, 1, 2, gen)[0].counts[-1].any())
                 for _ in range(replicas))
     band = 3.0 * math.sqrt(exact * (1.0 - exact) / replicas)
     assert abs(alive / replicas - exact) <= band
@@ -119,11 +111,11 @@ def test_micro_draws_nothing_past_extinction(members):
     from one generator are those of a fresh generator with the same seed."""
     ens = EnvironmentEnsemble(members, np.full(len(members), 1.0 / len(members)))
     gen = RngStream(3, 0).generator()
-    first = simulate_micro(ens, 1, 30, gen)
-    second = simulate_micro(ens, 1, 30, gen)
+    first = simulate_macro_coupled(ens, 1, 30, gen)[0]
+    second = simulate_macro_coupled(ens, 1, 30, gen)[0]
     fresh = RngStream(3, 0).generator()
     for trajectory in (first, second):
-        again = simulate_micro(ens, 1, 30, fresh)
+        again = simulate_macro_coupled(ens, 1, 30, fresh)[0]
         assert [s.counts.tolist() for s in again] == [s.counts.tolist() for s in trajectory]
 
     replay = RngStream(3, 0).generator()
@@ -332,17 +324,11 @@ def test_advance_batch_equals_per_law_draws(case):
 
 
 def assert_trajectory_views(traj):
-    """Iteration, indexing and zeta agree with the counts array."""
-    n = traj.counts.shape[0]
+    """Iteration and zeta agree with the counts array."""
     states = list(traj)
-    assert len(traj) == n
-    assert [s.generation for s in states] == list(range(n))
+    assert [s.generation for s in states] == list(range(traj.counts.shape[0]))
     assert [s.counts.tolist() for s in states] == traj.counts.tolist()
     assert traj.zeta.tolist() == [s.zeta for s in states]
-    last = traj[-1]
-    assert (last.generation, last.counts.tolist()) == (n - 1, traj.counts[-1].tolist())
-    assert [(s.generation, s.counts.tolist()) for s in traj[1:]] == \
-        [(s.generation, s.counts.tolist()) for s in states[1:]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -376,19 +362,13 @@ def test_single_trajectory_routes_match_the_forward_driver(seed, order, members,
             return counts[:exc.generation], exc.generation
         return counts, None
 
-    def micro(g):
-        try:
-            traj, failed = simulate_micro(ens, itype, horizon, g, cap), None
-        except PopulationCapError as exc:
-            traj, failed = exc.trajectory, exc.generation
-        assert_trajectory_views(traj)
-        return traj.counts, failed
-
     def coupled(g):
         try:
             (m, c), failed = simulate_macro_coupled(ens, itype, horizon, g, cap), None
         except PopulationCapError as exc:
             (m, c), failed = exc.trajectory, exc.generation
+        assert_trajectory_views(m)
+        assert_trajectory_views(c)
         assert np.array_equal(m.counts, c.counts)
         return m.counts, failed
 
@@ -398,9 +378,7 @@ def test_single_trajectory_routes_match_the_forward_driver(seed, order, members,
         counts, failed = route(g)
         return counts.tolist(), failed, g.bit_generator.state
 
-    want = run(forward)
-    assert run(micro) == want
-    assert run(coupled) == want
+    assert run(coupled) == run(forward)
 
 
 @pytest.mark.parametrize("horizon", [0, 1, 25])
@@ -517,31 +495,31 @@ def test_seeded_row_moves_are_pinned(workers):
 
 def test_coupled_bookkeeping_agrees_exactly(ab_equal):
     for rep in range(300):
-        micro, macro = simulate_macro_coupled(
-            ab_equal, 2, 20, RngStream(33, rep).generator())
-        assert len(micro) == len(macro) == 21
-        for sm, sg in zip(micro, macro):
+        m, g = simulate_macro_coupled(ab_equal, 2, 20, RngStream(33, rep).generator())
+        assert m.counts.shape[0] == g.counts.shape[0] == 21
+        for sm, sg in zip(m, g):
             np.testing.assert_array_equal(sm.counts, sg.counts)
             assert sm.zeta == sg.zeta
 
 
 def test_micro_cap_error_keeps_partial_trajectory():
     with pytest.raises(PopulationCapError) as exc:
-        simulate_micro(only(doubling_env()), 2, 50,
-                       RngStream(0, 0).generator(), cap=100)
+        simulate_macro_coupled(only(doubling_env()), 2, 50,
+                               RngStream(0, 0).generator(), cap=100)
     err = exc.value
     assert err.cap == 100
     assert err.generation == 6          # counts run 2, 4, ..., 128 > 100
-    assert err.trajectory[-1].generation == 5
-    assert err.trajectory[-1].zeta == 64
+    # generations 0..5 of the micro route
+    assert err.trajectory[0].zeta.tolist() == [2, 4, 8, 16, 32, 64]
 
 
 def test_coupled_cap_error():
     with pytest.raises(PopulationCapError) as exc:
         simulate_macro_coupled(only(doubling_env()), 2, 50,
                                RngStream(0, 0).generator(), cap=100)
-    micro, macro = exc.value.trajectory
-    assert micro[-1].zeta == macro[-1].zeta == 64
+    m, g = exc.value.trajectory
+    assert m.counts.tolist() == g.counts.tolist()
+    assert m.zeta[-1] == g.zeta[-1] == 64
 
 
 def test_quenched_survival_hand_values(rich, lean):
@@ -730,8 +708,8 @@ def test_conditional_size_point_mass_on_line(line_only):
     np.testing.assert_array_equal(dist.support, [1])
     np.testing.assert_allclose(dist.probabilities, [1.0])
     assert dist.mean() == 1.0
-    assert dist.probability_of(1) == 1.0
-    assert dist.probability_of(2) == 0.0
+    assert probability_of(dist, 1) == 1.0
+    assert probability_of(dist, 2) == 0.0
     # one frozen individual makes the generating function the identity
     np.testing.assert_allclose(dist.pgf_values, dist.s_grid, atol=1e-15)
 
@@ -744,7 +722,7 @@ def test_conditional_size_matches_enumeration(ab_equal):
     assert dist.survivors >= 1000
     grid = np.union1d(dist.support, support)
     exact = dict(zip(support, probs))
-    tv = 0.5 * sum(abs(dist.probability_of(int(z)) - exact.get(int(z), 0.0))
+    tv = 0.5 * sum(abs(probability_of(dist, int(z)) - exact.get(int(z), 0.0))
                    for z in grid)
     assert tv <= 0.05
 
@@ -853,11 +831,48 @@ def test_cap_below_one_fails_before_any_draw(monkeypatch, cap):
     calls = [
         lambda: log_population_path(ens, 1, 8, replicas=64, cap=cap),
         lambda: simulate_macro_coupled(ens, 1, 8, NoDraws(), cap=cap),
-        lambda: simulate_micro(ens, 1, 8, NoDraws(), cap=cap),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="^cap must be at least 1$"):
             call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ens, g: estimate_survival(ens, 1, 2.5, 64), "horizon must be an integer"),
+    (lambda ens, g: estimate_survival(ens, 1, 4, 8.5), "replicas must be an integer"),
+    (lambda ens, g: estimate_survival(ens, 1, 4, 64.0, method="particle"),
+     "replicas must be an integer"),
+    (lambda ens, g: survival_scaling_scan(ens, 1, [2.5, 4], 64), "horizons must be integers"),
+    (lambda ens, g: survival_scaling_scan(ens, 1, [2, 4], 8.5), "replicas must be an integer"),
+    (lambda ens, g: conditional_size_distribution(ens, 1, 2.5, 64),
+     "horizon must be an integer"),
+    (lambda ens, g: log_population_path(ens, 1, 3.0, 64), "horizon must be an integer"),
+    (lambda ens, g: log_population_path(ens, 1, 8, 64, cap=1e6), "cap must be an integer"),
+    (lambda ens, g: simulate_macro_coupled(ens, 1, 2.5, g), "horizon must be an integer"),
+    (lambda ens, g: simulate_macro_coupled(ens, 1, 8, g, cap=1e6), "cap must be an integer"),
+], ids=["survival-horizon", "survival-replicas", "particle-replicas", "scan-horizons",
+        "scan-replicas", "condsize-horizon", "paths-horizon", "paths-cap",
+        "coupled-horizon", "coupled-cap"])
+def test_sizes_and_horizons_must_be_integers_before_any_draw(monkeypatch, call, message):
+    def no_draws(*args):
+        raise AssertionError("the integer check must come before any draw")
+
+    class NoDraws:
+        def __getattr__(self, name):
+            no_draws()
+
+    monkeypatch.setattr("sibdep.simulator.run_chunked", no_draws)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(load_preset("supercritical"), NoDraws())
+
+
+def test_numpy_integers_are_sizes_and_horizons():
+    ens = load_preset("critical")
+    assert survival_scaling_scan(ens, 1, np.array([4, 2]), np.int64(64)) == \
+        survival_scaling_scan(ens, 1, [4, 2], 64)
+    micro, _ = simulate_macro_coupled(ens, 1, np.int64(3), RngStream(0, 0).generator(),
+                                      cap=np.int64(10 ** 6))
+    assert micro.counts.shape[0] == 4
 
 
 def test_path_memory_follows_live_rows():

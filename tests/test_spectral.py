@@ -468,6 +468,28 @@ def test_calibration_rejects_a_bad_budget_before_any_draw(no_draws, rich, lean,
         calibrate_critical_pair(rich, lean, horizon=50, replicas=8, **budget)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda a, b: estimate_lyapunov(EnvironmentEnsemble((a, b), np.array([0.5, 0.5])),
+                                    horizon=2.5), "horizon must be an integer"),
+    (lambda a, b: estimate_lambda_theta(EnvironmentEnsemble((a,), np.array([1.0])), 1.0,
+                                        horizon=8, replicas=8.5),
+     "replicas must be an integer"),
+    (lambda a, b: check_conditions(EnvironmentEnsemble((a,), np.array([1.0])),
+                                   ConditionParams(horizon=16.0, replicas=8)),
+     "horizon must be an integer"),
+    (lambda a, b: calibrate_critical_pair(a, b, horizon=10.5), "horizon must be an integer"),
+    (lambda a, b: calibrate_critical_pair(a, b, horizon=10, replicas=8.5),
+     "replicas must be an integer"),
+    (lambda a, b: calibrate_critical_pair(a, b, horizon=10, replicas=8, max_iter=2.5),
+     "max_iter must be an integer"),
+], ids=["lyapunov-horizon", "lambda-theta-replicas", "conditions-horizon",
+        "calibrate-horizon", "calibrate-replicas", "calibrate-max-iter"])
+def test_sizes_and_horizons_must_be_integers_before_any_draw(no_draws, rich, lean,
+                                                            call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(rich, lean)
+
+
 def test_calibration_rejects_a_pair_of_different_orders_before_any_draw(no_draws, rich):
     line = load_preset("deterministic_line").members[0]
     with pytest.raises(ValueError, match="^orders differ: 2 and 1$"):
