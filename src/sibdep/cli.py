@@ -138,11 +138,12 @@ def verify_run_dir(out_dir) -> dict:
     """Check every result file in a run directory against its manifest.
 
     Returns a report dict; ``ok`` is False when any listed file is missing,
-    carries a different embedded config hash than the manifest records, or
-    no longer has the content digest the manifest records.  A manifest that
-    is missing, or no JSON object with ``config_hash`` and ``results`` keys,
-    a list of plain file names under ``results`` and an object of strings
-    under ``sha256``, is the one mismatch, with no hash and no file checked.
+    is a symbolic link (whose target is not read), carries a different
+    embedded config hash than the manifest records, or no longer has the
+    content digest the manifest records.  A manifest that is missing, or no
+    JSON object with ``config_hash`` and ``results`` keys, a list of plain
+    file names under ``results`` and an object of strings under ``sha256``,
+    is the one mismatch, with no hash and no file checked.
     """
     out = Path(out_dir)
     try:
@@ -160,6 +161,9 @@ def verify_run_dir(out_dir) -> dict:
     for name in manifest["results"]:
         path = out / name
         checked.append(name)
+        if path.is_symlink():   # its target may lie outside the run directory
+            mismatches.append({"file": name, "problem": "not a regular file"})
+            continue
         if not path.is_file():
             mismatches.append({"file": name, "problem": "missing"})
             continue

@@ -22,9 +22,14 @@ def _finite_positive(name: str) -> tuple:
             (lambda v, n: v > 0.0, f"{name} must be positive"))
 
 
+def _integer(v) -> bool:
+    """An integer, numpy's included; bool is an Integral, but no count."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _count(name: str, low: int, message: str) -> tuple:
-    """An integer, numpy's included, of at least `low`."""
-    return ((lambda v, n: isinstance(v, numbers.Integral), f"{name} must be an integer"),
+    """An integer of at least `low`."""
+    return ((lambda v, n: _integer(v), f"{name} must be an integer"),
             (lambda v, n: v >= low, message))
 
 
@@ -43,10 +48,10 @@ DOMAINS = {
     "max_iter": _count("max_iter", 1, "max_iter must be at least 1"),
     "horizon": _count("horizon", 1, "horizon must be at least 1"),
     "coupled_horizon": _count("horizon", 0, "horizon must be nonnegative"),
-    "horizons": ((lambda v, n: all(isinstance(h, numbers.Integral) for h in v),
+    "horizons": ((lambda v, n: all(map(_integer, v)),
                   "horizons must be integers"),
                  (lambda v, n: bool(v) and min(v) >= 1, "horizons must be positive")),
-    "seed": ((lambda v, n: isinstance(v, numbers.Integral) and v >= 0,
+    "seed": ((lambda v, n: _integer(v) and v >= 0,
               lambda v, n: f"seed {v!r} must be a nonnegative integer"),),
     "replicas": _count("replicas", 1, "replicas must be positive"),
     "survival_replicas": _count("replicas", 2, "replicas >= 2 required"),

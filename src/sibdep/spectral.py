@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moments as mo
-from .env_model import _BLOCK, Environment, EnvironmentEnsemble, _check_member_indices
+from .env_model import (_BLOCK, Environment, EnvironmentEnsemble, _check_member_indices,
+                        _uniform_blocks)
 from .errors import (CalibrationError, DegenerateEnvironmentError,
                      DegenerateProductError, check_domains)
 from .records import Record
@@ -481,6 +482,8 @@ def check_conditions(ens: EnvironmentEnsemble,
 
 # -- criticality calibration -------------------------------------------------
 
+_CODES = 2.0 ** 16   # the calibration keeps each uniform u as floor(u * _CODES)
+
 
 @dataclass(frozen=True)
 class CalibrationResult(Record):
@@ -503,17 +506,49 @@ def calibrate_critical_pair(env_super: Environment, env_sub: Environment,
     the estimated growth is a deterministic, nearly monotone function of the
     weight and bisection converges cleanly.  Runs as one batch; the worker
     count never affects the outcome.
+
+    The uniforms u are kept as 16-bit codes floor(u * 2**16), a quarter of
+    their float64 bytes.  Every trial weight w is a dyadic rational, and
+    u < w holds exactly when the code lies below floor(w * 2**16), or equals
+    it and u < w.  The second case needs the uniform itself only once w is
+    no multiple of 2**-16, past bisection level 16; the stream is then
+    replayed once, and the uniforms whose code is that bucket are kept.
     """
     check_domains(horizon=horizon, replicas=replicas, tol=tol, max_iter=max_iter)
     if env_super.order != env_sub.order:
         raise ValueError(f"orders differ: {env_super.order} and {env_sub.order}")
     mats = _mean_matrices((env_sub, env_super))
     factors = horizon + 1
-    gen = RngStream(seed, 0).generator()
-    uniforms = gen.random((replicas, factors))
+    codes = np.empty((replicas, factors), dtype=np.uint16)
+    flat = codes.reshape(-1)
+    for start, u in _uniform_blocks(RngStream(seed, 0).generator(), flat.size):
+        np.multiply(u, _CODES, out=flat[start:start + u.size], casting="unsafe")
+    exact = {}   # bucket -> flat positions of its codes and their uniforms
+
+    def in_bucket(bucket: int) -> tuple[np.ndarray, np.ndarray]:
+        """The flat positions of the codes equal to bucket, and their uniforms,
+        from one replay of the stream in the same blocks."""
+        if bucket not in exact:
+            where, values = [], []
+            for start, u in _uniform_blocks(RngStream(seed, 0).generator(), flat.size):
+                at = np.flatnonzero(flat[start:start + u.size] == bucket)
+                where.append(start + at)
+                values.append(u[at])
+            exact[bucket] = np.concatenate(where), np.concatenate(values)
+        return exact[bucket]
+
+    def select(weight: float, out: np.ndarray) -> np.ndarray:
+        """out = uniforms < weight: True selects the expanding member."""
+        scaled = weight * _CODES   # exact, weight being dyadic
+        bucket = math.floor(scaled)
+        np.less(codes, bucket, out=out)
+        if scaled != bucket:
+            where, u = in_bucket(bucket)
+            out.reshape(-1)[where] = u < weight
+        return out
 
     def growth_at(weight: float) -> GrowthEstimate:
-        idx = uniforms < weight   # True selects the expanding member
+        idx = select(weight, np.empty(codes.shape, dtype=bool))
         return _growth_rate(_indexed_log_norms(mats, idx), horizon)
 
     # At weights 1 and 0 every row is the same product, so one row each will do.
@@ -526,7 +561,7 @@ def calibrate_critical_pair(env_super: Environment, env_sub: Environment,
     first = None   # the growth at weight 1/2, once made
     idx = np.empty((replicas + 2, factors), dtype=bool)
     idx[0], idx[1] = True, False
-    np.less(uniforms, 0.5, out=idx[2:])
+    select(0.5, idx[2:])
     if replicas == 1:
         logs = [_indexed_log_norms(mats, idx[k:k + 1])[0] for k in (0, 1)]
     else:

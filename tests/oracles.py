@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from sibdep import DegenerateProductError
+from sibdep import CalibrationError, DegenerateProductError
 
 
 # -- exact group-chain enumeration ----------------------------------------
@@ -185,6 +185,50 @@ def product_lognorm(mats) -> float:
         current = nxt / scale
         log_scale += math.log(scale)
     return log_scale + math.log(float(np.abs(current).sum()))
+
+
+def plain_calibration(log_norms, mats, uniforms, tol: float, max_iter: int):
+    """Bisection for the weight w on member 1 at which the growth of the
+    products log_norms(mats, uniforms < w) vanishes, over float64 uniforms
+    held throughout, one call of the product kernel per weight.
+
+    Returns (weight, iterations, trace) with trace entries (weight, growth,
+    stderr), the brackets at weights 0 and 1 first; a bracket that does not
+    hold, or a bisection that runs out of iterations or of floats between
+    its ends, raises CalibrationError carrying the trace.
+    """
+    horizon = uniforms.shape[1] - 1
+
+    def entry(weight):
+        per = log_norms(mats, uniforms < weight) / horizon
+        if weight in (0.0, 1.0):   # every row is the same product
+            return weight, float(per[0]), 0.0
+        n = per.shape[0]
+        stderr = float(per.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        return weight, float(per.mean()), stderr
+
+    trace = [entry(0.0), entry(1.0)]
+    bottom, top = trace[0][1], trace[1][1]
+    if not top > 0.0 > bottom:
+        raise CalibrationError(
+            "cannot calibrate: growth rates do not bracket zero "
+            f"(at weight 1: {top:.6g}, at weight 0: {bottom:.6g})", trace=trace)
+    lo, hi = 0.0, 1.0
+    for it in range(1, max_iter + 1):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        trace.append(entry(mid))
+        value = trace[-1][1]
+        if abs(value) <= tol:
+            return mid, it, trace
+        if value > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    raise CalibrationError(
+        f"bisection did not reach |growth| <= {tol} within {len(trace) - 2} iterations",
+        trace=trace)
 
 
 # -- eigenvalue cross-checks ----------------------------------------------

@@ -344,6 +344,23 @@ def test_verify_run_dir_reads_nothing_outside_the_run_directory(capsys, tmp_path
     assert report["mismatches"] == [{"file": "manifest.json", "problem": "malformed"}]
 
 
+def test_verify_run_dir_refuses_a_result_that_is_a_link(capsys, tmp_path, monkeypatch):
+    # a copy of run A's manifest beside a link to A's result would vouch for a
+    # file outside the directory; write_manifest never writes links
+    run_cli(capsys, "moments", "--config", "preset:critical", "--out", str(tmp_path / "A"))
+    (tmp_path / "B").mkdir()
+    shutil.copy(tmp_path / "A" / "manifest.json", tmp_path / "B" / "manifest.json")
+    (tmp_path / "B" / "moments.json").symlink_to(tmp_path / "A" / "moments.json")
+
+    def no_reads(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr("sibdep.cli.file_digest", no_reads)
+    report = verify_run_dir(tmp_path / "B")
+    assert report["ok"] is False and report["checked"] == ["moments.json"]
+    assert report["mismatches"] == [{"file": "moments.json", "problem": "not a regular file"}]
+
+
 @pytest.mark.parametrize("argv, kind", [
     (("validate", "--config", "{dir}"), "IsADirectoryError"),
     (("survival", "--config", "{dir}", "--horizon", "4", "--replicas", "16"),

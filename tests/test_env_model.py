@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import re
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sibdep.env_model import (
+    _DRAW_BLOCK,
     Environment,
     EnvironmentEnsemble,
     SiblingLaw,
@@ -300,6 +302,46 @@ def test_member_index_counts_as_searchsorted_on_the_choice_cdf(seed, size, zeros
     assert np.array_equal(idx, cdf.searchsorted(u, side="right"))
     grid = u[:64].reshape(8, 8)
     assert np.array_equal(ens.member_index(grid), cdf.searchsorted(grid, side="right"))
+
+
+_SHAPES = st.one_of(
+    st.integers(0, 3 * _DRAW_BLOCK),
+    st.tuples(st.integers(0, 6), st.integers(0, 2 * _DRAW_BLOCK + 9)),
+    st.tuples(st.integers(1, 3 * _DRAW_BLOCK), st.integers(1, 4)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), members=st.integers(1, 9), shape=_SHAPES)
+@example(seed=0, members=2, shape=(1, 1)).via("one uniform")
+@example(seed=1, members=3, shape=(5, _DRAW_BLOCK // 5)).via("below one block")
+@example(seed=2, members=2, shape=(4, _DRAW_BLOCK // 4)).via("one block")
+@example(seed=3, members=9, shape=(3, _DRAW_BLOCK // 2)).via("above one block")
+@example(seed=4, members=2, shape=(2, 2 * _DRAW_BLOCK + 9)).via("a row wider than a block")
+def test_blocked_member_draws_equal_one_draw_of_every_uniform(seed, members, shape):
+    gen = np.random.default_rng(seed)
+    weights = gen.random(members) + 0.01
+    ens = EnvironmentEnsemble((make_rich(),) * members, weights / weights.sum())
+    blocked, whole = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = ens.sample_index_array(shape, blocked)
+    want = ens.member_index(whole.random(shape))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert blocked.bit_generator.state == whole.bit_generator.state
+
+
+def test_member_draws_hold_no_array_of_uniforms():
+    # the float64 uniforms of one draw would take eight times the uint8 index
+    ens = EnvironmentEnsemble((make_rich(), make_lean()), np.array([0.4, 0.6]))
+    gen = np.random.default_rng(7)
+    tracemalloc.start()
+    try:
+        idx = ens.sample_index_array((4096, 2048), gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert idx.dtype == np.uint8
+    assert peak <= 1.5 * idx.nbytes + 2 ** 20, peak / idx.nbytes
 
 
 def table_arrays(ens: EnvironmentEnsemble) -> list:

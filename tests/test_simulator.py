@@ -866,6 +866,41 @@ def test_sizes_and_horizons_must_be_integers_before_any_draw(monkeypatch, call, 
         call(load_preset("supercritical"), NoDraws())
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda ens, g: estimate_survival(ens, 1, True, 64), "horizon must be an integer"),
+    (lambda ens, g: estimate_survival(ens, 1, 4, True), "replicas must be an integer"),
+    (lambda ens, g: estimate_survival(ens, 1, 4, 64, seed=True),
+     "seed True must be a nonnegative integer"),
+    (lambda ens, g: estimate_survival(ens, 1, True, 64, method="particle"),
+     "horizon must be an integer"),
+    (lambda ens, g: estimate_survival(ens, 1, 4, True, method="particle"),
+     "replicas must be an integer"),
+    (lambda ens, g: survival_scaling_scan(ens, 1, [True, 4], 64), "horizons must be integers"),
+    (lambda ens, g: survival_scaling_scan(ens, 1, [2, 4], True), "replicas must be an integer"),
+    (lambda ens, g: conditional_size_distribution(ens, 1, True, 64),
+     "horizon must be an integer"),
+    (lambda ens, g: log_population_path(ens, 1, True, 64), "horizon must be an integer"),
+    (lambda ens, g: log_population_path(ens, 1, 8, 64, cap=True), "cap must be an integer"),
+    (lambda ens, g: simulate_macro_coupled(ens, 1, True, g), "horizon must be an integer"),
+    (lambda ens, g: simulate_macro_coupled(ens, 1, 8, g, cap=True), "cap must be an integer"),
+], ids=["survival-horizon", "survival-replicas", "survival-seed", "particle-horizon",
+        "particle-replicas", "scan-horizons", "scan-replicas", "condsize-horizon",
+        "paths-horizon", "paths-cap", "coupled-horizon", "coupled-cap"])
+def test_bools_are_no_sizes_horizons_or_seeds_before_any_draw(monkeypatch, call, message):
+    # bool is a numbers.Integral: True would run as 1 on some routes and
+    # crash inside numpy on others
+    def no_draws(*args):
+        raise AssertionError("the integer check must come before any draw")
+
+    class NoDraws:
+        def __getattr__(self, name):
+            no_draws()
+
+    monkeypatch.setattr(RngStream, "generator", no_draws)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(load_preset("critical"), NoDraws())
+
+
 def test_numpy_integers_are_sizes_and_horizons():
     ens = load_preset("critical")
     assert survival_scaling_scan(ens, 1, np.array([4, 2]), np.int64(64)) == \

@@ -25,7 +25,7 @@ from sibdep.spectral import (
     lambda_prime_at_one,
 )
 
-from oracles import product_lognorm
+from oracles import plain_calibration, product_lognorm
 
 CHECK_IDS = {
     "mean_norm_moment", "support_irreducible", "entry_ratio_bounded",
@@ -392,6 +392,49 @@ def test_calibration_brackets_are_exact():
         assert (weight, value, stderr) == (float(member), float(log / horizon), 0.0)
 
 
+def _calibration_outcome(call, *args, **kwargs):
+    """(weight, iterations, trace) of a calibration, or (message, trace) of its error."""
+    try:
+        out = call(*args, **kwargs)
+    except CalibrationError as exc:
+        return str(exc), tuple(exc.trace)
+    if isinstance(out, tuple):
+        weight, iterations, trace = out
+        return weight, iterations, tuple(trace)
+    return out.weight, out.iterations, out.trace
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("replicas", [1, 16])
+def test_calibration_past_level_16_equals_the_plain_bisection(seed, replicas):
+    # a tol of 1e-12 is never met, so all 40 levels run; the bisection closes
+    # in on a jump of the growth, which sits at one of the uniforms, so its
+    # levels past 16 decide the entries of that uniform's 2**-16 bucket by the
+    # uniforms themselves
+    boom, bust = load_preset("boom_bust").members
+    horizon, tol, max_iter = 40, 1e-12, 40
+    uniforms = RngStream(seed, 0).generator().random((replicas, horizon + 1))
+    want = _calibration_outcome(plain_calibration, _indexed_log_norms,
+                                _mean_matrices((bust, boom)), uniforms, tol, max_iter)
+    got = _calibration_outcome(calibrate_critical_pair, boom, bust, tol=tol,
+                               horizon=horizon, replicas=replicas, seed=seed,
+                               max_iter=max_iter)
+    assert got == want
+    trace = got[-1]
+    assert len(trace) == max_iter + 2
+    assert math.floor(trace[-1][0] * 2 ** 16) in np.floor(uniforms * 2 ** 16)
+
+
+def test_a_failed_bracket_equals_the_plain_bisection(lean):
+    horizon, replicas, seed = 40, 16, 5
+    uniforms = RngStream(seed, 0).generator().random((replicas, horizon + 1))
+    want = _calibration_outcome(plain_calibration, _indexed_log_norms,
+                                _mean_matrices((lean, lean)), uniforms, 1e-3, 60)
+    got = _calibration_outcome(calibrate_critical_pair, lean, lean, horizon=horizon,
+                               replicas=replicas, seed=seed)
+    assert got == want and len(got) == 2 and "bracket" in got[0]
+
+
 def test_calibration_makes_one_kernel_call_per_iteration(monkeypatch):
     from sibdep import spectral
 
@@ -488,6 +531,38 @@ def test_sizes_and_horizons_must_be_integers_before_any_draw(no_draws, rich, lea
                                                             call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call(rich, lean)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ens, a, b: estimate_lyapunov(ens, horizon=True, replicas=8),
+     "horizon must be an integer"),
+    (lambda ens, a, b: estimate_lyapunov(ens, horizon=8, replicas=True),
+     "replicas must be an integer"),
+    (lambda ens, a, b: estimate_lyapunov(ens, horizon=8, replicas=8, seed=True),
+     "seed True must be a nonnegative integer"),
+    (lambda ens, a, b: estimate_lambda_theta(ens, 1.0, horizon=True, replicas=8),
+     "horizon must be an integer"),
+    (lambda ens, a, b: lambda_prime_at_one(ens, horizon=8, replicas=True),
+     "replicas must be an integer"),
+    (lambda ens, a, b: check_conditions(ens, ConditionParams(horizon=True, replicas=8)),
+     "horizon must be an integer"),
+    (lambda ens, a, b: calibrate_critical_pair(a, b, horizon=True, replicas=8),
+     "horizon must be an integer"),
+    (lambda ens, a, b: calibrate_critical_pair(a, b, horizon=10, replicas=True),
+     "replicas must be an integer"),
+    (lambda ens, a, b: calibrate_critical_pair(a, b, horizon=10, replicas=8, max_iter=True),
+     "max_iter must be an integer"),
+    (lambda ens, a, b: calibrate_critical_pair(a, b, horizon=10, replicas=8, seed=True),
+     "seed True must be a nonnegative integer"),
+], ids=["lyapunov-horizon", "lyapunov-replicas", "lyapunov-seed", "lambda-theta-horizon",
+        "lambda-prime-replicas", "conditions-horizon", "calibrate-horizon",
+        "calibrate-replicas", "calibrate-max-iter", "calibrate-seed"])
+def test_bools_are_no_sizes_horizons_or_seeds_before_any_draw(no_draws, rich, lean,
+                                                              call, message):
+    # bool is a numbers.Integral: True would run as 1 without the check
+    ens = EnvironmentEnsemble((rich, lean), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(ens, rich, lean)
 
 
 def test_calibration_rejects_a_pair_of_different_orders_before_any_draw(no_draws, rich):
