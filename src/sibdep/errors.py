@@ -24,7 +24,7 @@ def _finite_positive(name: str) -> tuple:
 
 def _integer(v) -> bool:
     """An integer, numpy's included; bool is an Integral, but no count."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    return type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool))
 
 
 def _count(name: str, low: int, message: str) -> tuple:
@@ -55,8 +55,9 @@ DOMAINS = {
               lambda v, n: f"seed {v!r} must be a nonnegative integer"),),
     "replicas": _count("replicas", 1, "replicas must be positive"),
     "survival_replicas": _count("replicas", 2, "replicas >= 2 required"),
-    "initial_type": ((lambda v, n: 1 <= v <= n,
-                      lambda v, n: f"initial type {v} outside 1..{n}"),),
+    "initial_type": ((lambda v, n: _integer(v), "initial type must be an integer"),
+                     (lambda v, n: 1 <= v <= n,
+                      lambda v, n: f"initial type {v} outside 1..{n}")),
     # a member has at most `order` children, so the generation after one
     # under the cap has at most order * cap individuals, which must fit int64
     "cap": (*_count("cap", 1, "cap must be at least 1"),

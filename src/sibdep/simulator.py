@@ -12,13 +12,13 @@ multinomial call over a (member, type, row) grid, and reach the
 `compress` gathers, never by boolean masks or fancy indexes; the paths
 record keeps ids and individual counts and takes logs once per chunk.
 Single trajectories bookkeep every draw twice, by sibship sizes and by
-child-group tables, in one (horizon + 1, 2N) array; each route is a
-`Trajectory`.  Their loop works in Python ints and skips the multinomial
-of a one-atom law.  The quenched engine never simulates populations at
-all: for a fixed environment sequence it composes q -> 1 - phi(1 - q)
-backward from survival 1, giving survival probabilities that are exact up
-to float rounding even where they are tiny, and Monte Carlo enters only
-through the environment sequence.
+child-group tables; each route is a `Trajectory`.  Their loop appends
+Python ints to one list, skips the multinomial of a one-atom law, and
+builds one (horizon + 1, 2N) array at the end.  The quenched engine never
+simulates populations at all: for a fixed environment sequence it
+composes q -> 1 - phi(1 - q) backward from survival 1, giving survival
+probabilities that are exact up to float rounding even where they are
+tiny, and Monte Carlo enters only through the environment sequence.
 
 Survival estimates therefore carry a method tag: "quenched-exact" for the
 composition route, "particle-mc" for the particle route.  Conditional-law
@@ -168,42 +168,50 @@ def simulate_macro_coupled(ens: EnvironmentEnsemble, initial_type: int, horizon:
     either equals the weighted group total of the other.  No draw is made
     past extinction; the extinct tail stays zero.  A member is one uniform
     bisected on the ensemble's member thresholds, the ones `member_index`
-    counts, a live type of a law with several atoms makes one multinomial
-    draw, and counts and sizes are Python ints.  A cap error carries the
-    partial (micro, macro) pair.
+    counts, and a live type of a law with several atoms makes one
+    multinomial draw.  Counts and sizes are Python ints, appended to one
+    flat list per generation and copied into one int64 array at the end; a
+    cap error at generation t carries the (micro, macro) pair of 0..t-1.
     """
     order = ens.order
     check_domains(order, coupled_horizon=horizon, cap=cap, initial_type=initial_type)
     table = ens._particle_table
-    # columns: the macro route, then the micro route
-    both = np.zeros((horizon + 1, 2 * order), dtype=np.int64)
-    both[0, [initial_type - 1, order + initial_type - 1]] = 1
-    counts, columns = both[0, :order].tolist(), range(2 * order)
-    thresholds = ens._thresholds
+    coupled, weights, thresholds = table.coupled, table.weights, ens._thresholds
+    random, multinomial, sizes = rng.random, rng.multinomial, range(1, order + 1)
+    # generation t fills flat[2Nt:2N(t + 1)]: the macro route, then the micro route
+    flat = [0] * (2 * order)
+    flat[initial_type - 1] = flat[order + initial_type - 1] = 1
+    counts, columns = flat[:order], range(2 * order)
     for t in range(1, horizon + 1):
-        law = bisect_right(thresholds, rng.random()) * order
+        law = bisect_right(thresholds, random()) * order
         new = [0] * (2 * order)
         for k, nk in enumerate(counts):
             if nk:
-                rows = table.coupled[law + k]
+                rows = coupled[law + k]
                 # numpy's multinomial makes no draw for one category either
-                draws = rng.multinomial(nk, table.weights[law + k]).tolist() \
+                draws = multinomial(nk, weights[law + k]).tolist() \
                     if len(rows) > 1 else (nk,)
                 for c, row in zip(draws, rows):
                     if c:
                         for j in columns:
                             new[j] += c * row[j]
-        both[t] = new
         counts = new[:order]
-        size = sum(map(mul, counts, range(1, order + 1)))
+        size = sum(map(mul, counts, sizes))
         if size > cap:
             raise PopulationCapError(
                 f"population {size} exceeds the cap {cap} at generation {t}",
-                generation=t, cap=cap,
-                trajectory=(Trajectory(both[:t, order:]), Trajectory(both[:t, :order])),
+                generation=t, cap=cap, trajectory=_coupled_pair(flat, t, order),
             )
+        flat += new
         if size == 0:
             break
+    return _coupled_pair(flat, horizon + 1, order)
+
+
+def _coupled_pair(flat, generations, order):
+    """(micro, macro) views of a (generations, 2N) int64 array: `flat`, then zeros."""
+    both = np.zeros((generations, 2 * order), dtype=np.int64)
+    both.reshape(-1)[:len(flat)] = flat
     return Trajectory(both[:, order:]), Trajectory(both[:, :order])
 
 

@@ -4,12 +4,15 @@ import json
 import math
 import os
 import tracemalloc
+from bisect import bisect_right
+from enum import IntEnum
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sibdep import errors
 from sibdep import moments as mo
 from sibdep import simulator
 from sibdep.env_model import Environment, EnvironmentEnsemble, SiblingLaw
@@ -379,6 +382,104 @@ def test_single_trajectory_routes_match_the_forward_driver(seed, order, members,
         return counts.tolist(), failed, g.bit_generator.state
 
     assert run(coupled) == run(forward)
+
+
+def array_row_coupled(ens, initial_type, horizon, rng, cap):
+    """The coupled loop as it was when it wrote one numpy row per generation
+    into a preallocated (horizon + 1, 2N) array, the reference for the loop
+    that collects Python ints: (micro, macro, failing generation or None)."""
+    order, table = ens.order, ens._particle_table
+    both = np.zeros((horizon + 1, 2 * order), dtype=np.int64)
+    both[0, [initial_type - 1, order + initial_type - 1]] = 1
+    counts, columns = both[0, :order].tolist(), range(2 * order)
+    for t in range(1, horizon + 1):
+        law = bisect_right(ens._thresholds, rng.random()) * order
+        new = [0] * (2 * order)
+        for k, nk in enumerate(counts):
+            if nk:
+                rows = table.coupled[law + k]
+                draws = rng.multinomial(nk, table.weights[law + k]).tolist() \
+                    if len(rows) > 1 else (nk,)
+                for c, row in zip(draws, rows):
+                    if c:
+                        for j in columns:
+                            new[j] += c * row[j]
+        both[t] = new
+        counts = new[:order]
+        size = sum(k * n for k, n in enumerate(counts, 1))
+        if size > cap:
+            return both[:t, order:], both[:t, :order], t
+        if size == 0:
+            break
+    return both[:, order:], both[:, :order], None
+
+
+def assert_coupled_matches_array_rows(ens, initial_type, horizon, state, cap):
+    """Same counts, cap generation and final generator state as the reference;
+    returns the library's (micro, macro, failing generation or None)."""
+    def run(route):
+        g = np.random.default_rng()
+        g.bit_generator.state = state
+        return route(g), g.bit_generator.state
+
+    def library(g):
+        try:
+            return (*simulate_macro_coupled(ens, initial_type, horizon, g, cap), None)
+        except PopulationCapError as exc:
+            return (*exc.trajectory, exc.generation)
+
+    (micro, macro, failed), after = run(library)
+    (ref_micro, ref_macro, ref_failed), ref_after = run(
+        lambda g: array_row_coupled(ens, initial_type, horizon, g, cap))
+    for traj, ref in ((micro, ref_micro), (macro, ref_macro)):
+        assert traj.counts.dtype == np.int64
+        assert traj.counts.shape == ref.shape
+        assert traj.counts.tolist() == ref.tolist()
+    assert failed == ref_failed
+    assert after == ref_after
+    return micro, macro, failed
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(1, 4),
+       members=st.integers(1, 3), horizon=st.integers(0, 30),
+       extra=st.sampled_from(["none", "dead", "full"]),
+       cap=st.one_of(st.integers(1, 8), st.integers(9, 10 ** 4),
+                     st.just(simulator.POPULATION_CAP)))
+def test_coupled_loop_matches_the_array_row_loop(seed, order, members, horizon, extra, cap):
+    gen = np.random.default_rng(seed)
+    ens = random_ensemble(gen, order, members)
+    # a one-atom member that kills every group, or one whose members all
+    # have `order` children, so extinction and the cap each come early
+    if extra != "none":
+        full = Environment(order, tuple(SiblingLaw(k, order, (((order,) * k, 1.0),))
+                                        for k in range(1, order + 1)))
+        added = full if extra == "full" else dead_end_env(order)
+        ens = EnvironmentEnsemble(ens.members + (added,),
+                                  np.append(np.full(members, 0.5 / members), 0.5))
+    itype = int(gen.integers(1, order + 1))
+    assert_coupled_matches_array_rows(ens, itype, horizon, gen.bit_generator.state, cap)
+
+
+def test_coupled_loop_edge_cases_match_the_array_row_loop():
+    state = RngStream(3, 0).generator().bit_generator.state
+    supercritical = load_preset("supercritical")
+    # horizon 0: the initial generation alone, and no draw
+    micro, _, failed = assert_coupled_matches_array_rows(supercritical, 1, 0, state, 10)
+    assert micro.counts.tolist() == [[1, 0]] and failed is None
+    # extinction at generation 1: the rest of the rows stay zero
+    micro, _, failed = assert_coupled_matches_array_rows(only(dead_end_env(3)), 2, 6,
+                                                         state, 10)
+    assert micro.counts.tolist() == [[0, 1, 0]] + [[0, 0, 0]] * 6 and failed is None
+    # a cap error at generation 1 carries the one-row pair of generation 0
+    micro, macro, failed = assert_coupled_matches_array_rows(only(doubling_env()), 2, 5,
+                                                             state, 3)
+    assert failed == 1 and micro.counts.tolist() == macro.counts.tolist() == [[0, 1]]
+    # the largest cap allowed: the counts stay exact up to the cap error
+    largest = (2 ** 63 - 1) // supercritical.order
+    micro, _, failed = assert_coupled_matches_array_rows(supercritical, 1, 800, state,
+                                                         largest)
+    assert failed is not None and 0 < micro.zeta[-1] <= largest
 
 
 @pytest.mark.parametrize("horizon", [0, 1, 25])
@@ -899,6 +1000,60 @@ def test_bools_are_no_sizes_horizons_or_seeds_before_any_draw(monkeypatch, call,
     monkeypatch.setattr(RngStream, "generator", no_draws)
     with pytest.raises(ValueError, match=f"^{message}$"):
         call(load_preset("critical"), NoDraws())
+
+
+@pytest.mark.parametrize("itype", [True, 1.5, 2.0])
+def test_initial_type_must_be_an_integer_before_any_draw(monkeypatch, itype):
+    # True would run as type 1, and 1.5 or 2.0 ended in numpy's IndexError
+    def no_draws(*args):
+        raise AssertionError("the integer check must come before any draw")
+
+    class NoDraws:
+        def __getattr__(self, name):
+            no_draws()
+
+    monkeypatch.setattr(RngStream, "generator", no_draws)
+    ens = load_preset("critical")
+    calls = [
+        lambda: quenched_survival(ens.members, itype),
+        lambda: estimate_survival(ens, itype, 4, 64),
+        lambda: estimate_survival(ens, itype, 4, 64, method="particle"),
+        lambda: survival_scaling_scan(ens, itype, [2, 4], 64),
+        lambda: conditional_size_distribution(ens, itype, 4, 64),
+        lambda: log_population_path(ens, itype, 4, 64),
+        lambda: simulate_macro_coupled(ens, itype, 4, NoDraws()),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^initial type must be an integer$"):
+            call()
+
+
+def test_numpy_integer_initial_type_is_the_plain_one():
+    ens = load_preset("critical")
+    for method in ("quenched", "particle"):
+        assert estimate_survival(ens, np.int64(1), 4, 64, method=method) == \
+            estimate_survival(ens, 1, 4, 64, method=method)
+    assert survival_scaling_scan(ens, np.int64(1), [2, 4], 64) == \
+        survival_scaling_scan(ens, 1, [2, 4], 64)
+    assert same_bits(log_population_path(ens, np.int64(1), 4, 64).values,
+                     log_population_path(ens, 1, 4, 64).values)
+    micro, _ = simulate_macro_coupled(ens, np.int64(1), 6, RngStream(0, 0).generator())
+    assert micro.counts.tolist() == \
+        simulate_macro_coupled(ens, 1, 6, RngStream(0, 0).generator())[0].counts.tolist()
+
+
+class Kind(IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("value, integer", [
+    (1, True), (0, True), (-3, True), (2 ** 70, True), (Kind.ONE, True),
+    (np.int64(1), True), (np.int8(-1), True), (np.uint64(2 ** 63), True),
+    (True, False), (False, False), (np.bool_(True), False), (2.0, False),
+    (np.float64(2.0), False), ("1", False), (None, False),
+], ids=repr)
+def test_integer_domain_is_integral_and_not_bool(value, integer):
+    assert errors._integer(value) is integer
 
 
 def test_numpy_integers_are_sizes_and_horizons():
