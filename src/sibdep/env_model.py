@@ -409,9 +409,14 @@ class EnvironmentEnsemble:
         """The members that Generator.choice with the ensemble weights picks
         for uniforms u: per uniform, the count of thresholds at or below it,
         one pass per threshold, in the narrowest unsigned type (uint8 up to
-        256 members)."""
-        idx = np.zeros(u.shape, dtype=np.min_scalar_type(self.size - 1))
-        for c in self._thresholds:
+        256 members).  The first pass's booleans, one byte of 0 or 1 each,
+        are viewed as the uint8 count, so it needs no zero fill and no add."""
+        dtype = np.min_scalar_type(self.size - 1)
+        if not self._thresholds:
+            return np.zeros(u.shape, dtype=dtype)
+        first, *rest = self._thresholds
+        idx = (u >= first).view(np.uint8).astype(dtype, copy=False)
+        for c in rest:
             np.add(idx, u >= c, out=idx)
         return idx
 

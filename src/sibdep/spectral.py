@@ -60,6 +60,12 @@ def _indexed_log_norms(mats: np.ndarray, idx: np.ndarray) -> np.ndarray:
     IndexError, checked once per call.  The gather then runs in "wrap" mode,
     which leaves an index in range as it is and, unlike the default "raise",
     writes straight into its output instead of through a temporary copy.
+    At order 2, where call overhead outweighs the arithmetic, a step sums
+    and divides the state's two column views instead of taking BLAS row sums
+    and a broadcast divide.  The bits are the same: the entries are
+    nonnegative and a product by 1 is exact, so BLAS's row sum of two terms
+    is the one rounding of x0 + x1 that np.add gives, and division is
+    elementwise in both forms.
     """
     rows, length = idx.shape
     size, order = mats.shape[0], mats.shape[1]
@@ -72,6 +78,7 @@ def _indexed_log_norms(mats: np.ndarray, idx: np.ndarray) -> np.ndarray:
     take = y.reshape(rows * size, order).take
     scale = np.empty(rows)
     col = scale[:, None]
+    x0, x1 = x[:, 0], x[:, -1]   # the column views of order 2
     logs = np.zeros(rows)
     pos = np.empty((_BLOCK, rows), dtype=np.intp)   # a block's gather positions
     buf = np.empty((_BLOCK, rows))                  # and its logged scales
@@ -84,9 +91,14 @@ def _indexed_log_norms(mats: np.ndarray, idx: np.ndarray) -> np.ndarray:
             for at, log_scale in steps[:n]:
                 matmul(x, wide, out=y)
                 take(at, axis=0, out=x, mode="wrap")
-                matmul(x, ones, out=scale)   # row sums; far cheaper than x.sum(axis=1)
+                if order == 2:
+                    add(x0, x1, out=scale)
+                    divide(x0, scale, out=x0)
+                    divide(x1, scale, out=x1)
+                else:
+                    matmul(x, ones, out=scale)   # row sums; far cheaper than x.sum(axis=1)
+                    divide(x, col, out=x)
                 log(scale, out=log_scale)
-                divide(x, col, out=x)
                 add(logs, log_scale, out=logs)
             if not math.isfinite(logs.sum()):
                 k = k0 + int(np.argmin(np.isfinite(buf[:n]).all(axis=1))) + 1

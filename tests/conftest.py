@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from sibdep import simulator
-from sibdep.env_model import Environment, EnvironmentEnsemble, SiblingLaw
-from sibdep.errors import InsufficientSurvivorsError
+from sibdep.env_model import (_BLOCK, Environment, EnvironmentEnsemble, SiblingLaw,
+                              _check_member_indices)
+from sibdep.errors import DegenerateProductError, InsufficientSurvivorsError
 
 
 def make_rich() -> Environment:
@@ -105,6 +106,42 @@ def plain_survival_step(ens: EnvironmentEnsemble, q: np.ndarray,
         logs = np.fmax(np.log1p(-q), -1e300)
     every = (-np.expm1(logs @ counts) @ table).reshape(q.shape[0], ens.size, ens.order)
     return every[np.arange(q.shape[0]), member_idx]
+
+
+def matrix_log_norms(mats: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """`spectral._indexed_log_norms` with matrix calls at every order: BLAS
+    row sums `x @ 1` and a broadcast divide by the column of scales, the
+    reference for the column steps the kernel takes at order 2."""
+    rows, length = idx.shape
+    size, order = mats.shape[0], mats.shape[1]
+    _check_member_indices(idx, size)
+    wide = np.asarray(mats, dtype=float).transpose(1, 0, 2).reshape(order, size * order)
+    offsets = np.arange(rows) * size
+    ones = np.ones(order)
+    x = np.ones((rows, order))
+    y = np.empty((rows, size * order))
+    take = y.reshape(rows * size, order).take
+    scale = np.empty(rows)
+    logs = np.zeros(rows)
+    pos = np.empty((_BLOCK, rows), dtype=np.intp)
+    buf = np.empty((_BLOCK, rows))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k0 in range(0, length, _BLOCK):
+            n = min(_BLOCK, length - k0)
+            np.add(idx[:, k0:k0 + n].T, offsets, out=pos[:n])
+            for at, log_scale in zip(pos[:n], buf[:n]):
+                np.matmul(x, wide, out=y)
+                take(at, axis=0, out=x, mode="wrap")
+                np.matmul(x, ones, out=scale)
+                np.log(scale, out=log_scale)
+                np.divide(x, scale[:, None], out=x)
+                np.add(logs, log_scale, out=logs)
+            if not math.isfinite(logs.sum()):
+                k = k0 + int(np.argmin(np.isfinite(buf[:n]).all(axis=1))) + 1
+                raise DegenerateProductError(
+                    f"a replica's product norm collapsed at step {k}", steps=k
+                )
+    return logs
 
 
 def plain_forward(ens, initial_type, horizon, gen, size, cap=simulator.POPULATION_CAP,

@@ -301,6 +301,7 @@ def test_member_index_counts_as_searchsorted_on_the_choice_cdf(seed, size, zeros
     assert idx.shape == u.shape
     assert np.array_equal(idx, cdf.searchsorted(u, side="right"))
     grid = u[:64].reshape(8, 8)
+    assert ens.member_index(grid).dtype == idx.dtype
     assert np.array_equal(ens.member_index(grid), cdf.searchsorted(grid, side="right"))
 
 

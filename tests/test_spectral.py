@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sibdep import moments as mo
 from sibdep.env_model import Environment, EnvironmentEnsemble, SiblingLaw
@@ -25,6 +25,7 @@ from sibdep.spectral import (
     lambda_prime_at_one,
 )
 
+from conftest import matrix_log_norms
 from oracles import plain_calibration, product_lognorm
 
 CHECK_IDS = {
@@ -62,18 +63,22 @@ def test_accumulator_raises_on_collapse():
 
 
 @st.composite
-def _indexed_products(draw):
-    """Nonnegative members with a positive diagonal, so no product collapses."""
-    order = draw(st.integers(1, 4))
+def _indexed_products(draw, max_order=4, collapses=False):
+    """Nonnegative members with a positive diagonal, so no product collapses;
+    with `collapses`, any entry may be 0, so that some products do."""
+    order = draw(st.integers(1, max_order))
     size = draw(st.integers(1, 3))
     length = draw(st.integers(1, 40))
     rows = draw(st.integers(1, 5))
     entries = st.floats(0.0, 10.0)
+    if collapses:
+        entries = st.one_of(st.just(0.0), entries, st.floats(0.01, 10.0))
     mats = np.array(draw(st.lists(entries, min_size=size * order * order,
                                   max_size=size * order * order))).reshape(size, order, order)
-    diag = draw(st.lists(st.floats(0.01, 10.0), min_size=size * order,
-                         max_size=size * order))
-    mats[:, np.arange(order), np.arange(order)] = np.reshape(diag, (size, order))
+    if not collapses:
+        diag = draw(st.lists(st.floats(0.01, 10.0), min_size=size * order,
+                             max_size=size * order))
+        mats[:, np.arange(order), np.arange(order)] = np.reshape(diag, (size, order))
     idx = np.array(draw(st.lists(st.integers(0, size - 1), min_size=rows * length,
                                  max_size=rows * length))).reshape(rows, length)
     return mats, idx
@@ -104,6 +109,35 @@ def test_indexed_log_norms_rows_do_not_depend_on_their_company(case, data):
     np.testing.assert_array_equal(_indexed_log_norms(mats, idx[subset]), every[subset])
     alone = np.concatenate([_indexed_log_norms(mats, row) for row in idx[:, None]])
     np.testing.assert_allclose(alone, every, rtol=1e-12, atol=1e-12)
+
+
+def _wide_case(order, size, seed):
+    """2,049 rows of 20 factors, about a fifth of the entries 0."""
+    gen = np.random.default_rng(seed)
+    mats = gen.random((size, order, order)) * 10.0 * (gen.random((size, order, order)) > 0.2)
+    return mats, gen.integers(0, size, (2049, 20))
+
+
+def _kernel_outcome(kernel, mats, idx):
+    """The log norms' bytes, or the step a DegenerateProductError names."""
+    try:
+        return kernel(mats, idx).tobytes()
+    except DegenerateProductError as exc:
+        return exc.steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_indexed_products(max_order=3, collapses=True))
+@example(case=_wide_case(1, 2, 0)).via("2,049 rows at order 1")
+@example(case=_wide_case(2, 2, 1)).via("2,049 rows at order 2")
+@example(case=_wide_case(3, 3, 2)).via("2,049 rows at order 3")
+def test_indexed_log_norms_equal_the_matrix_form_kernel_bit_for_bit(case):
+    # the column steps at order 2 must give the bytes of BLAS row sums and a
+    # broadcast divide, and collapse at the same step; orders 1 and 3 guard
+    # the matrix path beside them
+    mats, idx = case
+    assert _kernel_outcome(_indexed_log_norms, mats, idx) == \
+        _kernel_outcome(matrix_log_norms, mats, idx)
 
 
 @pytest.mark.parametrize("step", [8, 9, 131])

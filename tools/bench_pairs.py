@@ -9,7 +9,8 @@ prints every pair's end-to-end metrics, each side's median and quartiles per
 metric, how many pairs the change won (ties count for neither), and whether
 the metric meets the claim rule: the change wins at least nine pairs in ten,
 and its median beats the parent's by more than the parent's interquartile
-range.
+range.  The rule is stated for ten pairs or more, so fewer pairs read as
+not decided, whatever they show.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload quenched-scan --seed 1 --pairs 10
@@ -26,8 +27,12 @@ from pathlib import Path
 from bench_record import run_once, summary   # beside this script, on sys.path when run
 
 
+MIN_PAIRS = 10   # the fewest pairs the claim rule decides on
+
+
 def verdict(parent: list[float], change: list[float], better: str) -> dict:
-    """Per-side summaries, the change's wins, and whether the claim rule holds."""
+    """Per-side summaries, the change's wins, and whether the claim rule holds:
+    "meets" is None below MIN_PAIRS pairs, where the rule does not decide."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     before, after = summary(parent), summary(change)
@@ -35,7 +40,8 @@ def verdict(parent: list[float], change: list[float], better: str) -> dict:
     iqr = before["q3"] - before["q1"]
     return {"parent": before, "change": after, "wins": wins, "pairs": len(parent),
             "gap": gap, "parent_iqr": iqr,
-            "meets": 10 * wins >= 9 * len(parent) and gap > iqr}
+            "meets": (10 * wins >= 9 * len(parent) and gap > iqr
+                      if len(parent) >= MIN_PAIRS else None)}
 
 
 def main(argv=None) -> int:
@@ -82,7 +88,8 @@ def main(argv=None) -> int:
               f"change {c['median']:.5g} [{c['q1']:.5g}, {c['q3']:.5g}]; "
               f"change wins {v['wins']}/{v['pairs']}, median gain {v['gap']:.3g} "
               f"against parent IQR {v['parent_iqr']:.3g}: "
-              + ("meets the claim rule" if v["meets"] else "does not meet the claim rule"))
+              + {True: "meets the claim rule", False: "does not meet the claim rule",
+                 None: f"not decided (fewer than {MIN_PAIRS} pairs)"}[v["meets"]])
     return 0
 
 
