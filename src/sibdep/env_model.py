@@ -454,18 +454,36 @@ class EnvironmentEnsemble:
         return ParticleTable(weights, _frozen(pvals), _frozen(children), coupled,
                              _frozen(np.arange(1, n + 1)), _frozen(ids.reshape(-1, 1, 1)))
 
+    @cached_property
+    def _floor_once(self) -> bool:
+        """Whether _survival_loop may floor a slab's logs on its first step
+        only: every law of every member gives the childless key, the all-zero
+        column 0 of the sorted keys, a weight w0 of at least 2**-30, and the
+        keys are fewer than K = 2**22.  A step then leaves every survival at
+        most (1 - w0)(1 + K 2**-53) < 1, whatever it starts from, so only a
+        slab's starting survival can have log1p(-q) = -inf or NaN."""
+        counts, table = self._phi_tables
+        return (not counts[:, 0].any() and counts.shape[1] < 2 ** 22
+                and bool(table[0].min() >= 2.0 ** -30))
+
     def survival_step(self, q_rows: np.ndarray, member_idx: np.ndarray) -> np.ndarray:
         """One backward generation in survival form: row r becomes
-        1 - phi(1 - q_r) under member member_idx[r]; one step of _survival_loop.
-        An index outside [0, size) would gather another row's maps, so it raises."""
+        1 - phi(1 - q_r) under member member_idx[r]; the one-slab, one-step
+        case of _survival_loop.  An index outside [0, size) would gather
+        another row's maps, so it raises."""
         idx = np.asarray(member_idx)
         _check_member_indices(idx, self.size)
-        state = np.negative(q_rows, dtype=float, order="C")
-        return 0.0 - self._survival_loop(state, idx[:, None])
+        state = np.negative(q_rows, dtype=float, order="C")[None]
+        return 0.0 - self._survival_loop(state, idx[:, None], (1,))[0]
 
-    def _survival_loop(self, state: np.ndarray, member_idx: np.ndarray) -> np.ndarray:
+    def _survival_loop(self, state: np.ndarray, member_idx: np.ndarray,
+                       horizons: Sequence[int]) -> np.ndarray:
         """Compose q -> 1 - phi(1 - q) backward over the columns of member_idx,
-        the last first, on state = -q, which it overwrites and returns.
+        the last first, on a (slabs, rows, N) stack state = -q, which it
+        overwrites and returns.  Slab j composes the first horizons[j]
+        columns; the horizons descend, so the slabs that a step composes are
+        always a prefix: slab j joins, as it stands, when the pass reaches
+        column horizons[j] - 1.
 
         Weights sum to 1 per law, so 1 - phi_i(s) = sum_k w_ik (1 - s^key_k),
         and -expm1(log1p(-q) @ counts) @ table keeps small survival accurate
@@ -476,38 +494,60 @@ class EnvironmentEnsemble:
         0.0 - state, which gives +0.0 for a survival of exactly 0 as the
         plain step does, where -state would give -0.0.  The logs are
         floored, since -inf * 0 is NaN inside a matrix product; fmax also
-        floors the NaN of a q an ulp above 1.  Every member's maps run on
-        every row and each row gathers its member's.  Gather positions are
-        formed for _BLOCK generations at once, and every step writes into
-        buffers made once per call, so concurrent calls share nothing.  The
-        gather runs in "wrap" mode, which leaves an index in range as it is
-        and, unlike the default "raise", writes straight into state instead
-        of through a temporary copy.  It checks no index: survival_step
-        checks its own, and every other caller draws its indices with
-        member_index or builds them from the members, so they lie in
-        [0, size) by construction.
+        floors the NaN of a q an ulp above 1.  The floor runs on every
+        active slab at every step, or, where _floor_once holds, on a slab's
+        first step only, the one step whose logs can be -inf or NaN.  Every
+        member's maps run on every row and each row gathers its member's.
+
+        Each step makes one call per operation over the active slabs.  The
+        two matmuls take the slabs as a stack of (rows, N) matrices, and
+        numpy multiplies a stack one matrix at a time with the BLAS call of
+        the one matrix, so a slab's bits do not depend on the others.
+        Gather positions are formed for _BLOCK generations at once, and
+        every step writes into buffers made once per call, so concurrent
+        calls share nothing.  The gather runs in "wrap" mode, which leaves
+        an index in range as it is and, unlike the default "raise", writes
+        straight into state instead of through a temporary copy.  It checks
+        no index: survival_step checks its own, and every other caller draws
+        its indices with member_index or builds them from the members, so
+        they lie in [0, size) by construction.
         """
-        rows, length = member_idx.shape
+        slabs, rows, n = state.shape
         counts, table = self._phi_tables
-        logs = np.empty((rows, self.order))
-        monomials = np.empty((rows, counts.shape[1]))
-        every = np.empty((rows, table.shape[1]))
-        take = every.reshape(rows * self.size, self.order).take
-        offsets = np.arange(rows) * self.size
-        pos = np.empty((_BLOCK, rows), dtype=np.intp)
-        steps = list(pos)
+        logs = np.empty_like(state)
+        monomials = np.empty((slabs, rows, counts.shape[1]))
+        every = np.empty((slabs, rows, table.shape[1]))
+        take = every.reshape(slabs * rows * self.size, n).take
+        offsets = np.arange(slabs * rows).reshape(slabs, rows) * self.size
+        pos = np.empty((_BLOCK, slabs, rows), dtype=np.intp)
+        # per count a of active slabs, their views; then per step of the
+        # pass, column horizons[0] - 1 first, its views and floor
+        views = [(state[:a], logs[:a], monomials[:a], every[:a]) for a in range(slabs + 1)]
+        at = [[step[:a] for a in range(slabs + 1)] for step in pos]
+        once = self._floor_once
+        active, plan, a = [], [], 0
+        for s, column in enumerate(range(horizons[0] - 1, -1, -1)):
+            joined = a
+            while a < slabs and horizons[a] > column:
+                a += 1
+            floor = logs[joined:a] if once else logs[:a]
+            active.append(a)
+            plan.append((*views[a], at[s % _BLOCK][a], floor if floor.size else None))
         log1p, fmax, matmul, expm1 = np.log1p, np.fmax, np.matmul, np.expm1
         with np.errstate(divide="ignore", invalid="ignore"):
-            for end in range(length, 0, -_BLOCK):
-                n = min(_BLOCK, end)
-                np.add(member_idx[:, end - n:end].T, offsets, out=pos[:n])
-                for at in steps[n - 1::-1]:
-                    log1p(state, out=logs)
-                    fmax(logs, -1e300, out=logs)
-                    matmul(logs, counts, out=monomials)
-                    expm1(monomials, out=monomials)
-                    matmul(monomials, table, out=every)
-                    take(at, axis=0, out=state, mode="wrap")
+            for start in range(0, len(plan), _BLOCK):
+                end = len(plan) - start
+                k = min(_BLOCK, end)
+                a = active[start + k - 1]
+                np.add(member_idx[:, end - k:end].T[::-1, None], offsets[:a], out=pos[:k, :a])
+                for now, logs_now, mono, every_now, where, floor in plan[start:start + k]:
+                    log1p(now, out=logs_now)
+                    if floor is not None:
+                        fmax(floor, -1e300, out=floor)
+                    matmul(logs_now, counts, out=mono)
+                    expm1(mono, out=mono)
+                    matmul(mono, table, out=every_now)
+                    take(where, axis=0, out=now, mode="wrap")
         return state
 
 

@@ -48,9 +48,9 @@ DOMAINS = {
     "max_iter": _count("max_iter", 1, "max_iter must be at least 1"),
     "horizon": _count("horizon", 1, "horizon must be at least 1"),
     "coupled_horizon": _count("horizon", 0, "horizon must be nonnegative"),
-    "horizons": ((lambda v, n: all(map(_integer, v)),
-                  "horizons must be integers"),
-                 (lambda v, n: bool(v) and min(v) >= 1, "horizons must be positive")),
+    "horizons": ((lambda v, n: len(v) > 0, "at least one horizon is required"),
+                 (lambda v, n: all(map(_integer, v)), "horizons must be integers"),
+                 (lambda v, n: min(v) >= 1, "horizons must be positive")),
     "seed": ((lambda v, n: _integer(v) and v >= 0,
               lambda v, n: f"seed {v!r} must be a nonnegative integer"),),
     "replicas": _count("replicas", 1, "replicas must be positive"),

@@ -16,9 +16,10 @@ child-group tables; each route is a `Trajectory`.  Their loop appends
 Python ints to one list, skips the multinomial of a one-atom law, and
 builds one (horizon + 1, 2N) array at the end.  The quenched engine never
 simulates populations at all: for a fixed environment sequence it
-composes q -> 1 - phi(1 - q) backward from survival 1, giving survival
-probabilities that are exact up to float rounding even where they are
-tiny, and Monte Carlo enters only through the environment sequence.
+composes q -> 1 - phi(1 - q) backward from survival 1, in one pass for all
+of a scan's horizons, giving survival probabilities that are exact up to
+float rounding even where they are tiny, and Monte Carlo enters only
+through the environment sequence.
 
 Survival estimates therefore carry a method tag: "quenched-exact" for the
 composition route, "particle-mc" for the particle route.  Conditional-law
@@ -221,7 +222,7 @@ def _coupled_pair(flat, generations, order):
 def quenched_survival(env_seq: Sequence[Environment], initial_type: int) -> float:
     """Exact survival probability for one fixed environment sequence.
 
-    One row of `_quenched_survival_rows` over the sequence's distinct
+    The one entry of `_quenched_survival_rows` over the sequence's distinct
     members, whose ensemble weights are never drawn from.
     """
     envs = list(env_seq)
@@ -231,17 +232,19 @@ def quenched_survival(env_seq: Sequence[Environment], initial_type: int) -> floa
     members = tuple({id(env): env for env in envs}.values())
     ens = EnvironmentEnsemble(members, np.full(len(members), 1.0 / len(members)))
     idx = np.array([[members.index(env) for env in envs]])
-    return float(_quenched_survival_rows(ens, idx, initial_type)[0])
+    return float(_quenched_survival_rows(ens, idx, initial_type, [len(envs)])[0, 0])
 
 
 def _quenched_survival_rows(ens: EnvironmentEnsemble, member_idx: np.ndarray,
-                            initial_type: int) -> np.ndarray:
-    """Backward composition in survival form over many index rows at once,
-    from survival 1, carried as -1; the clip removes an ulp above 1 that
-    weights summing to 1 + ulp can leave."""
-    state = np.full((member_idx.shape[0], ens.order), -1.0)
-    ens._survival_loop(state, member_idx)
-    return np.minimum(0.0 - state[:, initial_type - 1], 1.0)
+                            initial_type: int, horizons: Sequence[int]) -> np.ndarray:
+    """Backward composition in survival form over many index rows at once:
+    the (rows, horizons) block of survivals over the prefixes of member_idx
+    as long as the ascending horizons.  One pass composes every horizon, as
+    one slab of the kernel's state each, from survival 1, carried as -1; the
+    clip removes an ulp above 1 that weights summing to 1 + ulp can leave."""
+    state = np.full((len(horizons), member_idx.shape[0], ens.order), -1.0)
+    ens._survival_loop(state, member_idx, horizons[::-1])
+    return np.minimum(0.0 - state[::-1, :, initial_type - 1].T, 1.0)
 
 
 def _quenched_columns(ens: EnvironmentEnsemble, initial_type: int, horizons: Sequence[int]):
@@ -249,8 +252,7 @@ def _quenched_columns(ens: EnvironmentEnsemble, initial_type: int, horizons: Seq
     horizons, and a (rows, horizons) block of survivals over their prefixes."""
     def task(gen, size):
         idx = ens.sample_index_array((size, horizons[-1]), gen)
-        return np.stack([_quenched_survival_rows(ens, idx[:, :h], initial_type)
-                         for h in horizons], axis=1)
+        return _quenched_survival_rows(ens, idx, initial_type, horizons)
     return task
 
 

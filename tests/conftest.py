@@ -108,6 +108,37 @@ def plain_survival_step(ens: EnvironmentEnsemble, q: np.ndarray,
     return every[np.arange(q.shape[0]), member_idx]
 
 
+def plain_quenched_block(ens: EnvironmentEnsemble, member_idx: np.ndarray,
+                         initial_type: int, horizons) -> np.ndarray:
+    """The (rows, horizons) survival block of `simulator._quenched_survival_rows`
+    as one backward pass per horizon, each on a 2-D (rows, N) state that is
+    floored at every step: the frozen reference for the kernel's slabs."""
+    rows = member_idx.shape[0]
+    counts, table = ens._phi_tables
+    offsets = np.arange(rows) * ens.size
+    columns = []
+    for h in horizons:
+        state = np.full((rows, ens.order), -1.0)
+        logs = np.empty((rows, ens.order))
+        monomials = np.empty((rows, counts.shape[1]))
+        every = np.empty((rows, table.shape[1]))
+        take = every.reshape(rows * ens.size, ens.order).take
+        pos = np.empty((_BLOCK, rows), dtype=np.intp)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for end in range(h, 0, -_BLOCK):
+                n = min(_BLOCK, end)
+                np.add(member_idx[:, end - n:end].T, offsets, out=pos[:n])
+                for at in pos[n - 1::-1]:
+                    np.log1p(state, out=logs)
+                    np.fmax(logs, -1e300, out=logs)
+                    np.matmul(logs, counts, out=monomials)
+                    np.expm1(monomials, out=monomials)
+                    np.matmul(monomials, table, out=every)
+                    take(at, axis=0, out=state, mode="wrap")
+        columns.append(np.minimum(0.0 - state[:, initial_type - 1], 1.0))
+    return np.stack(columns, axis=1)
+
+
 def matrix_log_norms(mats: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """`spectral._indexed_log_norms` with matrix calls at every order: BLAS
     row sums `x @ 1` and a broadcast divide by the column of scales, the

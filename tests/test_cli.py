@@ -753,6 +753,14 @@ def test_malformed_horizons_are_a_usage_error(capsys):
     assert "--horizons" in err and "'8,x'" in err
 
 
+@pytest.mark.parametrize("horizons", [",", ""])
+def test_empty_horizon_list_is_a_domain_error(capsys, horizons):
+    rc = main(["scan", "--config", "preset:subcritical", "--horizons", horizons])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": {"type": "ValueError", "message": "at least one horizon is required"}}
+
+
 CHILD_TIMEOUT_S = 60
 
 

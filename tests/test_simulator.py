@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sibdep import errors
 from sibdep import moments as mo
@@ -743,8 +743,7 @@ def test_quenched_rows_never_increase_with_the_horizon(seed, order, size, rows,
     hs = sorted(horizons)
     idx = ens.sample_index_array((rows, hs[-1]), gen)
     itype = int(gen.integers(1, order + 1))
-    values = np.stack([_quenched_survival_rows(ens, idx[:, :h], itype) for h in hs],
-                      axis=1)
+    values = _quenched_survival_rows(ens, idx, itype, hs)
     # exact: every step is monotone in its argument, rounding included
     assert np.all(values[:, 1:] <= values[:, :-1])
 
@@ -779,7 +778,7 @@ def test_quenched_survival_matches_enumeration(seed, size, length, itype):
     word = [ens.members[m] for m in idx[0]]
     exact = enumerate_survival(word, itype)
     assert quenched_survival(word, itype) == pytest.approx(exact, rel=0.0, abs=1e-12)
-    assert _quenched_survival_rows(ens, idx, itype)[0] == \
+    assert _quenched_survival_rows(ens, idx, itype, [length])[0, 0] == \
         pytest.approx(exact, rel=0.0, abs=1e-12)
 
 
@@ -791,7 +790,7 @@ def test_scan_on_frozen_line(line_only):
 
 
 def test_scan_validation(ab_sub):
-    with pytest.raises(ValueError, match="horizons"):
+    with pytest.raises(ValueError, match="^at least one horizon is required$"):
         survival_scaling_scan(ab_sub, 1, [])
     with pytest.raises(ValueError, match="horizons"):
         survival_scaling_scan(ab_sub, 1, [0, 4])
@@ -1155,7 +1154,7 @@ def test_quenched_rows_obey_the_first_moment_bound(seed):
     w = 0.541046142578125
     ens = EnvironmentEnsemble(load_preset("boom_bust").members, np.array([w, 1.0 - w]))
     idx = ens.sample_index_array((512, 512), RngStream(seed, 0).generator())
-    survival = _quenched_survival_rows(ens, idx, 1)
+    survival = _quenched_survival_rows(ens, idx, 1, [512])[:, 0]
     mats = np.stack([mo.macro_moments(env).mean for env in ens.members])
     expected = np.zeros((idx.shape[0], ens.order))
     expected[:, 0] = 1.0
@@ -1175,7 +1174,7 @@ def test_seeded_quenched_output_is_pinned():
     ens = EnvironmentEnsemble(load_preset("boom_bust").members, np.array([w, 1.0 - w]))
     for s in range(3):
         idx = ens.sample_index_array((512, 512), RngStream(s, 0).generator())
-        digest.update(_quenched_survival_rows(ens, idx, 1).astype("<f8").tobytes())
+        digest.update(_quenched_survival_rows(ens, idx, 1, [512])[:, 0].astype("<f8").tobytes())
     for name in ("critical", "subcritical_mix"):
         rows = survival_scaling_scan(load_preset(name), 2, [1, 7, 8, 9, 16, 17, 100],
                                      replicas=5000, seed=5)
@@ -1207,8 +1206,87 @@ def test_quenched_loop_equals_the_plain_step_composition(seed, order, size, rows
     for t in range(length - 1, -1, -1):
         q = plain_survival_step(ens, q, idx[:, t])
     for itype in range(1, order + 1):
-        assert same_bits(_quenched_survival_rows(ens, idx, itype),
+        assert same_bits(_quenched_survival_rows(ens, idx, itype, [length])[:, 0],
                          np.minimum(q[:, itype - 1], 1.0))
+
+
+def faint_childless_env(order: int) -> Environment:
+    """Every group has no children with probability 2**-35, below the 2**-30
+    that lets the kernel floor a slab's logs on its first step only; else
+    each member has one child."""
+    return Environment(order, tuple(
+        SiblingLaw(k, order, (((0,) * k, 2.0 ** -35), ((1,) * k, 1.0 - 2.0 ** -35)))
+        for k in range(1, order + 1)), label="faint")
+
+
+@st.composite
+def _quenched_cases(draw):
+    """An ensemble, whether it floors a slab's logs on the slab's first step
+    only, and a generator: random ensembles do, and deterministic_line, a
+    mortal member mixed with an immortal one, and a childless weight below
+    2**-30 do not."""
+    kind = draw(st.sampled_from(["random", "line", "mixed", "faint"]))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "random":
+        ens = random_ensemble(gen, draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+    elif kind == "line":
+        ens = load_preset("deterministic_line")
+    else:
+        order = draw(st.integers(1, 3))
+        other = one_child_env(order) if kind == "mixed" else faint_childless_env(order)
+        ens = EnvironmentEnsemble((random_environment(gen, order), other), np.array([0.5, 0.5]))
+    return ens, kind == "random", gen
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_quenched_cases(), rows=st.sampled_from([1, 2, 3, 5, 17, 512, 700]),
+       horizons=st.lists(st.integers(1, 20), min_size=1, max_size=5, unique=True))
+@example(case=(random_ensemble(np.random.default_rng(3), 2, 1), True,
+               np.random.default_rng(3)), rows=1, horizons=[1, 2])
+def test_one_pass_block_equals_the_pass_per_horizon(case, rows, horizons):
+    # one row makes numpy's matmul a gemv call, more rows a gemm, so the
+    # example's two one-row slabs taken as one 2-row matrix move bits;
+    # horizons straddle the kernel's blocks of 8 generations
+    ens, floor_once, gen = case
+    assert ens._floor_once == floor_once
+    hs = sorted(horizons)
+    idx = ens.sample_index_array((rows, hs[-1]), gen)
+    for itype in range(1, ens.order + 1):
+        assert same_bits(_quenched_survival_rows(ens, idx, itype, hs),
+                         conftest.plain_quenched_block(ens, idx, itype, hs))
+    q = gen.random((rows, ens.order))
+    q[gen.random((rows, ens.order)) < 0.3] = 1.0
+    assert same_bits(ens.survival_step(q, idx[:, 0]), plain_survival_step(ens, q, idx[:, 0]))
+
+
+def test_quenched_estimators_run_the_kernel_once_per_chunk_inside_the_rows(ab_equal,
+                                                                          monkeypatch):
+    # the benchmark's quenched layer times _quenched_survival_rows: a pass
+    # that ran outside it would leave the layer at 0 and fail nothing
+    calls, passes = [], []
+    rows_fn, loop = simulator._quenched_survival_rows, EnvironmentEnsemble._survival_loop
+
+    def counted_rows(ens, member_idx, initial_type, horizons):
+        before = len(passes)
+        block = rows_fn(ens, member_idx, initial_type, horizons)
+        calls.append((member_idx.shape[0], list(horizons), len(passes) - before))
+        return block
+
+    def counted_loop(self, state, member_idx, horizons):
+        passes.append(state.shape[0])
+        return loop(self, state, member_idx, horizons)
+
+    monkeypatch.setenv("SIBDEP_WORKERS", "1")
+    monkeypatch.setattr(simulator, "_quenched_survival_rows", counted_rows)
+    monkeypatch.setattr(EnvironmentEnsemble, "_survival_loop", counted_loop)
+    survival_scaling_scan(ab_equal, 1, [3, 6, 12], replicas=5000, seed=0)
+    assert calls == [(4096, [3, 6, 12], 1), (904, [3, 6, 12], 1)]
+    assert passes == [3, 3]
+    calls.clear()
+    passes.clear()
+    estimate_survival(ab_equal, 2, 7, replicas=9000, seed=0)
+    assert calls == [(4096, [7], 1), (4096, [7], 1), (808, [7], 1)]
+    assert passes == [1, 1, 1]
 
 
 @pytest.mark.parametrize("n", [60, 100, 1000])
@@ -1244,7 +1322,7 @@ def test_one_sequence_and_the_batched_rows_agree(seed, order, size, length):
     ens = random_ensemble(gen, order, size)
     idx = ens.sample_index_array((3, length), gen)
     itype = int(gen.integers(1, order + 1))
-    rows = _quenched_survival_rows(ens, idx, itype)
+    rows = _quenched_survival_rows(ens, idx, itype, [length])[:, 0]
     for r in range(idx.shape[0]):
         word = [ens.members[m] for m in idx[r]]
         assert quenched_survival(word, itype) == pytest.approx(rows[r], rel=0.0, abs=1e-15)
